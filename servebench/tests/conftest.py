@@ -1,0 +1,12 @@
+"""Make the package under test and the benchmark importable.
+
+Run with ``python3 -m pytest servebench/tests -q`` from the checkout root.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
