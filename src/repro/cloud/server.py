@@ -75,7 +75,10 @@ class ServerStats:
         connections: Connections accepted.
         frames: Well-framed payloads received.
         plan_requests: Plan requests decoded (admitted or shed).
-        served: Plan responses written.
+        served: Plan responses handed to the transport.  Counted before
+            the frame is written, so a client holding its reply never
+            reads a count that lags it; every other counter is likewise
+            bumped before the frame that reports its event.
         planning_failures: Requests answered ``planning_failed``.
         busy_rejections: Requests shed with a ``busy`` frame (admission
             bound hit, or draining).
@@ -284,11 +287,21 @@ class PlanServer:
     # Connection handling
     # ------------------------------------------------------------------
     async def _send(
-        self, writer: asyncio.StreamWriter, payload: bytes
+        self, writer: asyncio.StreamWriter, payload: bytes, served: bool = False
     ) -> bool:
-        """Write one frame under the write deadline; False closes the conn."""
+        """Write one frame under the write deadline; False closes the conn.
+
+        ``served`` counts the frame as a served plan response once it is
+        framed and before it reaches the transport: the write may put the
+        bytes on the socket at once, and the peer may read them (and this
+        server's stats) before the drain below returns.
+        """
+        frame = encode_frame(payload, self.max_frame_bytes)
+        if served:
+            self.stats.served += 1
+            obs.get_registry().inc(f"{self.name}.served")
         try:
-            writer.write(encode_frame(payload, self.max_frame_bytes))
+            writer.write(frame)
             await asyncio.wait_for(writer.drain(), timeout=self.write_timeout_s)
             return True
         except asyncio.TimeoutError:
@@ -538,18 +551,15 @@ class PlanServer:
                     vehicle_id=req.vehicle_id,
                     version=version,
                 )
-            ok = await self._send(
+            return await self._send(
                 writer,
                 wire.encode_response(
                     response,
                     version=version,
                     default_corridor_id=self.default_corridor_id,
                 ),
+                served=True,
             )
-            if ok:
-                self.stats.served += 1
-                registry.inc(f"{self.name}.served")
-            return ok
         finally:
             self._in_flight -= 1
             if self._in_flight == 0:

@@ -37,8 +37,6 @@ import time as _time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro import obs
 from repro.cloud.messages import DEFAULT_CORRIDOR_ID, PlanRequest, PlanResponse
 from repro.cloud.plan_cache import CacheStats, PlanCache
@@ -267,10 +265,11 @@ class CloudPlannerService:
         """Answer one vehicle's plan request.
 
         Cache hits are *revalidated*: the cached profile is shifted to the
-        request's departure and its signal arrivals are re-checked against
-        the (margin-shrunk) arrival windows at that departure.  This
-        bounds the phase-quantization error — a hit whose shifted
-        arrivals drifted out of the windows (possible when
+        request's departure (:meth:`VelocityProfile.shifted_to`, which
+        reuses its validated arrays) and its signal arrivals are
+        re-checked against the (margin-shrunk) arrival windows at that
+        departure.  This bounds the phase-quantization error — a hit
+        whose shifted arrivals drifted out of the windows (possible when
         ``phase_quantum_s`` exceeds the planner's window margin) falls
         back to a fresh solve instead of handing out a stale plan.
 
@@ -330,7 +329,7 @@ class CloudPlannerService:
             cached = self.plan_cache.get(key)
             if cached is not None:
                 profile, energy_mah, trip_time = cached
-                shifted = self._shift_profile(profile, req.depart_s)
+                shifted = profile.shifted_to(req.depart_s)
                 if self._revalidate(shifted, req.depart_s):
                     with self._mutex:
                         self.stats.cache_hits += 1
@@ -640,7 +639,7 @@ class CloudPlannerService:
             cached = self.plan_cache.get(key)
             if cached is not None:
                 profile, energy_mah, trip_time = cached
-                shifted = self._shift_profile(profile, req.depart_s)
+                shifted = profile.shifted_to(req.depart_s)
                 if self._revalidate(shifted, req.depart_s):
                     with self._mutex:
                         self.stats.cache_hits += 1
@@ -740,13 +739,14 @@ class CloudPlannerService:
         arrivals can drift up to ``phase_quantum_s`` relative to the solve
         that produced it.  The planner's window margin normally absorbs
         that drift; this check catches the cases it cannot (quantum larger
-        than the margin, windows whose edges moved between cycles).
+        than the margin, windows whose edges moved between cycles).  The
+        windows come from :meth:`~repro.core.planner.DpPlannerBase.signal_constraints`,
+        the same definition the DP solved against.
         """
-        for constraint in self.planner.signal_constraints(depart_s):
-            arrival = profile.arrival_time_at(constraint.position_m)
-            if not bool(constraint.windows.contains(np.asarray([arrival]))[0]):
-                return False
-        return True
+        return all(
+            profile.arrival_time_at(constraint.position_m) in constraint.windows
+            for constraint in self.planner.signal_constraints(depart_s)
+        )
 
     def _fastest_trip(self, depart_s: float) -> float:
         """Minimum feasible trip time, memoized per departure bin.
@@ -780,16 +780,6 @@ class CloudPlannerService:
                     self.stats.total_compute_s += _time.perf_counter() - t0
             self.min_time_cache.put(phase_bin, cached)
         return cached
-
-    @staticmethod
-    def _shift_profile(profile: VelocityProfile, depart_s: float) -> VelocityProfile:
-        """The cached profile re-anchored at a new departure time."""
-        return VelocityProfile(
-            positions_m=profile.positions_m,
-            speeds_ms=profile.speeds_ms,
-            dwell_s=profile.dwell_s,
-            start_time_s=depart_s,
-        )
 
     @property
     def artifact_store(self):

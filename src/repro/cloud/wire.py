@@ -14,7 +14,13 @@ to canonical JSON bytes, and back, **bit-exactly**:
   decoder refuses the ``NaN``/``Infinity`` JSON extensions, so
   non-finite values can never cross the wire in either direction;
 * dict keys are sorted and separators minimal, so equal messages encode
-  to equal bytes (safe to hash, dedupe, or diff).
+  to equal bytes (safe to hash, dedupe, or diff);
+* profile arrays are validated whole — one type screen, one conversion
+  to a float64 array, one finiteness check — and only an array that
+  fails falls back to the element-by-element check, which names the
+  rejected element (``field="speeds_ms[3]"``).  Numbers too large for a
+  double (a 400-digit integer literal) are rejected as typed errors
+  like any other non-finite value.
 
 Every payload carries ``wire_version`` (:data:`WIRE_VERSION`) and a
 ``kind`` tag.  Decoding is strict: broken JSON, an unknown version, a
@@ -50,7 +56,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core.profile import VelocityProfile
 from repro.cloud.messages import DEFAULT_CORRIDOR_ID, PlanRequest, PlanResponse
@@ -227,26 +235,59 @@ def _finite_float(value: Any, field: str, what: str) -> float:
             f"{what}.{field} must be a number, got {type(value).__name__}",
             field=field,
         )
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        # JSON integer literals are unbounded; past ~1.8e308 no double holds them.
+        raise WireProtocolError(
+            f"{what}.{field} must be finite, got an integer beyond the float range",
+            field=field,
+        ) from None
     if not math.isfinite(value):
         raise WireProtocolError(f"{what}.{field} must be finite, got {value!r}", field=field)
     return value
 
 
-def _float_list(value: Any, field: str, what: str) -> List[float]:
+#: Element types the array screen passes; ``bool`` is its own type, so
+#: ``true``/``false`` fall through to the element check and are refused.
+_JSON_NUMBER_TYPES = frozenset((float, int))
+
+
+def _float_array(value: Any, field: str, what: str) -> np.ndarray:
+    """A JSON array of finite numbers as a float64 array, strictly.
+
+    One type screen, one conversion and one finiteness check cover the
+    whole array.  Whatever that does not accept is re-checked element by
+    element with :func:`_finite_float`, which raises the typed error
+    naming the first rejected element — so the array path accepts and
+    rejects exactly what the element check does.
+    """
     if not isinstance(value, list):
         raise WireProtocolError(
             f"{what}.{field} must be an array, got {type(value).__name__}",
             field=field,
         )
-    return [_finite_float(v, f"{field}[{i}]", what) for i, v in enumerate(value)]
+    if set(map(type, value)) <= _JSON_NUMBER_TYPES:
+        try:
+            array = np.array(value, dtype=float)
+        except OverflowError:
+            array = None
+        if array is not None and np.isfinite(array).all():
+            return array
+    return np.array(
+        [_finite_float(v, f"{field}[{i}]", what) for i, v in enumerate(value)],
+        dtype=float,
+    )
+
+
+# The canonical encoder, shared by every call as ``json.dumps`` shares its
+# default one: it holds settings only.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _dumps(document: Dict[str, Any], what: str) -> bytes:
     try:
-        text = json.dumps(
-            document, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
+        text = _ENCODER.encode(document)
     except ValueError as exc:
         # json's own refusal of NaN/inf — surface it as the wire error.
         raise WireProtocolError(f"{what} carries a non-finite value: {exc}") from exc
@@ -263,7 +304,9 @@ def _loads(data: Union[bytes, bytearray, str], what: str) -> Any:
         return json.loads(data, parse_constant=_reject_nonfinite_token)
     except WireProtocolError:
         raise
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past the
+        # interpreter's digit limit; RecursionError, absurdly deep nesting.
         raise WireProtocolError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -271,11 +314,15 @@ def _loads(data: Union[bytes, bytearray, str], what: str) -> Any:
 # VelocityProfile <-> dict
 # ----------------------------------------------------------------------
 def profile_to_dict(profile: VelocityProfile) -> Dict[str, Any]:
-    """A :class:`VelocityProfile` as a plain JSON-ready dict."""
+    """A :class:`VelocityProfile` as a plain JSON-ready dict.
+
+    The profile's arrays are float64, so ``tolist()`` yields exactly the
+    Python floats an element-by-element ``float()`` would.
+    """
     return {
-        "positions_m": [float(v) for v in profile.positions_m],
-        "speeds_ms": [float(v) for v in profile.speeds_ms],
-        "dwell_s": [float(v) for v in profile.dwell_s],
+        "positions_m": profile.positions_m.tolist(),
+        "speeds_ms": profile.speeds_ms.tolist(),
+        "dwell_s": profile.dwell_s.tolist(),
         "start_time_s": float(profile.start_time_s),
     }
 
@@ -290,9 +337,9 @@ def profile_from_dict(payload: Dict[str, Any]) -> VelocityProfile:
     """
     payload = _require_mapping(payload, "profile")
     _check_keys(payload, _PROFILE_KEYS, "profile")
-    positions = _float_list(payload["positions_m"], "positions_m", "profile")
-    speeds = _float_list(payload["speeds_ms"], "speeds_ms", "profile")
-    dwell = _float_list(payload["dwell_s"], "dwell_s", "profile")
+    positions = _float_array(payload["positions_m"], "positions_m", "profile")
+    speeds = _float_array(payload["speeds_ms"], "speeds_ms", "profile")
+    dwell = _float_array(payload["dwell_s"], "dwell_s", "profile")
     start = _finite_float(payload["start_time_s"], "start_time_s", "profile")
     try:
         return VelocityProfile(
@@ -367,13 +414,18 @@ def request_from_dict(
     budget: Optional[float] = None
     if payload["max_trip_time_s"] is not None:
         budget = _finite_float(payload["max_trip_time_s"], "max_trip_time_s", "plan request")
+    # Field checks run before the contract try below, so their typed
+    # errors keep their ``field`` instead of being re-wrapped.
+    depart = _finite_float(payload["depart_s"], "depart_s", "plan request")
+    position = _finite_float(payload["position_m"], "position_m", "plan request")
+    speed = _finite_float(payload["speed_ms"], "speed_ms", "plan request")
     try:
         return PlanRequest(
             vehicle_id=vehicle_id,
-            depart_s=_finite_float(payload["depart_s"], "depart_s", "plan request"),
+            depart_s=depart,
             max_trip_time_s=budget,
-            position_m=_finite_float(payload["position_m"], "position_m", "plan request"),
-            speed_ms=_finite_float(payload["speed_ms"], "speed_ms", "plan request"),
+            position_m=position,
+            speed_ms=speed,
             minimize=minimize,
             corridor_id=corridor_id,
         )

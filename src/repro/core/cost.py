@@ -13,12 +13,16 @@ Two pieces live here:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import bisect
+from operator import attrgetter
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.signal.queue import QueueWindow
 from repro.vehicle.dynamics import LongitudinalModel
+
+_START_OF = attrgetter("start_s")
 
 
 class SegmentEnergyTable:
@@ -101,21 +105,34 @@ class SegmentEnergyTable:
 class WindowSet:
     """Sorted, disjoint absolute time windows with vectorized membership.
 
+    The input windows are merged once into two float arrays (starts and
+    ends); shrinking and membership work on those arrays and never
+    re-create :class:`~repro.signal.queue.QueueWindow` objects.
+
     Args:
         windows: Queue-free (or green) windows; they are sorted and merged
-            if overlapping.
+            if overlapping or touching.
     """
 
     def __init__(self, windows: Sequence[QueueWindow]) -> None:
-        ordered = sorted(windows, key=lambda w: w.start_s)
-        merged: List[Tuple[float, float]] = []
-        for w in ordered:
-            if merged and w.start_s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], w.end_s))
+        starts: List[float] = []
+        ends: List[float] = []
+        for w in sorted(windows, key=_START_OF):
+            if ends and w.start_s <= ends[-1]:
+                ends[-1] = max(ends[-1], w.end_s)
             else:
-                merged.append((w.start_s, w.end_s))
-        self._starts = np.asarray([m[0] for m in merged], dtype=float)
-        self._ends = np.asarray([m[1] for m in merged], dtype=float)
+                starts.append(w.start_s)
+                ends.append(w.end_s)
+        self._starts = np.asarray(starts, dtype=float)
+        self._ends = np.asarray(ends, dtype=float)
+
+    @classmethod
+    def _from_arrays(cls, starts: np.ndarray, ends: np.ndarray) -> "WindowSet":
+        """Adopt already sorted, disjoint window bounds as they are."""
+        windows = cls.__new__(cls)
+        windows._starts = starts
+        windows._ends = ends
+        return windows
 
     def __len__(self) -> int:
         return int(self._starts.size)
@@ -137,22 +154,31 @@ class WindowSet:
         inside[valid] = t[valid] < self._ends[safe[valid]]
         return inside
 
+    def __contains__(self, time_s: float) -> bool:
+        """Whether one absolute time falls inside any window.
+
+        The scalar form of :meth:`contains`: the same answer for every
+        time, without building a one-element array.
+        """
+        i = bisect.bisect_right(self._starts, time_s) - 1
+        return i >= 0 and bool(time_s < self._ends[i])
+
     def shrunk(self, margin_s: float) -> "WindowSet":
         """A copy with every window shrunk by ``margin_s`` on both ends.
 
         The DP quantizes time into bins; shrinking the target windows by a
         margin larger than the accumulated rounding error guarantees the
         continuous-time profile still lands inside the true window.
-        Windows that collapse disappear.
+        Windows that collapse disappear.  Shrinking keeps sorted,
+        disjoint windows sorted and disjoint, so the survivors need no
+        re-merge.
         """
         if margin_s < 0:
             raise ValueError(f"margin must be >= 0, got {margin_s}")
-        survivors = [
-            QueueWindow(s + margin_s, e - margin_s)
-            for s, e in zip(self._starts, self._ends)
-            if (e - margin_s) - (s + margin_s) > 1e-9
-        ]
-        return WindowSet(survivors)
+        starts = self._starts + margin_s
+        ends = self._ends - margin_s
+        keep = (ends - starts) > 1e-9
+        return WindowSet._from_arrays(starts[keep], ends[keep])
 
     def as_queue_windows(self) -> List[QueueWindow]:
         """The merged windows as :class:`QueueWindow` objects."""

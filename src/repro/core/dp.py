@@ -567,9 +567,7 @@ class DpSolver:
             for idx, constraint in constraint_maps[b].items():
                 t_arr = float(profile.arrival_times_s[idx])
                 arrivals[constraint.position_m] = t_arr
-                hits[constraint.position_m] = bool(
-                    constraint.windows.contains(np.asarray([t_arr]))[0]
-                )
+                hits[constraint.position_m] = t_arr in constraint.windows
             outcomes.append(
                 DpSolution(
                     profile=profile,
@@ -704,9 +702,7 @@ class DpSolver:
                     continue  # already passed this signal before replanning
                 t_arr = float(profile.arrival_times_s[idx - i0])
                 arrivals[constraint.position_m] = t_arr
-                hits[constraint.position_m] = bool(
-                    constraint.windows.contains(np.asarray([t_arr]))[0]
-                )
+                hits[constraint.position_m] = t_arr in constraint.windows
         return DpSolution(
             profile=profile,
             energy_j=best_cost,

@@ -94,18 +94,20 @@ class VelocityProfile:
             raise ConfigurationError(
                 f"positions and speeds must match, got {pos.shape} vs {spd.shape}"
             )
-        if np.any(np.diff(pos) <= 0):
+        gaps = pos[1:] - pos[:-1]
+        if (gaps <= 0).any():
             raise ConfigurationError("positions must be strictly increasing")
-        if np.any(spd < 0):
+        if (spd < 0).any():
             raise ConfigurationError("speeds must be non-negative")
         dwell = np.zeros_like(pos) if dwell_s is None else np.asarray(dwell_s, dtype=float)
         if dwell.shape != pos.shape:
             raise ConfigurationError("dwell array must match positions")
-        if np.any(dwell < 0):
+        if (dwell < 0).any():
             raise ConfigurationError("dwell times must be non-negative")
         v_avg = 0.5 * (spd[:-1] + spd[1:])
-        if np.any(v_avg <= 0):
-            bad = int(np.argmax(v_avg <= 0))
+        stalled = v_avg <= 0
+        if stalled.any():
+            bad = int(np.argmax(stalled))
             raise ConfigurationError(
                 f"segment {bad} has zero average speed; the gap at "
                 f"{pos[bad]:.1f}-{pos[bad + 1]:.1f} m can never be covered"
@@ -113,14 +115,35 @@ class VelocityProfile:
         self.positions_m = pos
         self.speeds_ms = spd
         self.dwell_s = dwell
-        self.start_time_s = float(start_time_s)
-        seg_dt = np.diff(pos) / v_avg
+        self._seg_dt = gaps / v_avg
         # Arrival at point i happens before its dwell; departure after.
-        arrivals = np.empty_like(pos)
-        arrivals[0] = start_time_s
-        arrivals[1:] = start_time_s + np.cumsum(seg_dt + dwell[:-1])
+        self._offsets = np.cumsum(self._seg_dt + dwell[:-1])
+        self._anchor(start_time_s)
+
+    def _anchor(self, start_time_s: float) -> None:
+        """Set the departure time and the absolute arrivals it implies."""
+        self.start_time_s = float(start_time_s)
+        arrivals = np.empty_like(self.positions_m)
+        arrivals[0] = self.start_time_s
+        arrivals[1:] = self.start_time_s + self._offsets
         self._arrivals = arrivals
-        self._seg_dt = seg_dt
+
+    def shifted_to(self, start_time_s: float) -> VelocityProfile:
+        """The same plan departing at ``start_time_s``.
+
+        Bit-identical to constructing a new profile from this one's
+        arrays with the new start time, but the already-validated arrays
+        and the cumulative segment offsets are reused instead of being
+        re-checked and re-summed.  The arrays are shared, not copied.
+        """
+        profile = VelocityProfile.__new__(VelocityProfile)
+        profile.positions_m = self.positions_m
+        profile.speeds_ms = self.speeds_ms
+        profile.dwell_s = self.dwell_s
+        profile._seg_dt = self._seg_dt
+        profile._offsets = self._offsets
+        profile._anchor(start_time_s)
+        return profile
 
     # ------------------------------------------------------------------
     # Timing (Eq. 10)

@@ -280,9 +280,7 @@ class PlanValidator:
             if self._stops_at(profile, s):
                 continue  # the plan waits out the red here on purpose
             arrival = profile.arrival_time_at(s)
-            if constraint.windows.is_empty or not bool(
-                constraint.windows.contains(np.asarray([arrival]))[0]
-            ):
+            if arrival not in constraint.windows:
                 violations.append(
                     Violation(
                         CODE_ARRIVAL_WINDOW,

@@ -156,23 +156,26 @@ class QueueLengthModel:
         Each cycle is treated independently with the queue empty at its red
         onset — the paper's periodic steady-state assumption.  A callable
         ``arrival_rate`` is sampled at each cycle start, which lets the
-        SAE-predicted hourly volumes drive the window placement.
+        SAE-predicted hourly volumes drive the window placement; a
+        constant rate has one in-cycle window, evaluated once per call.
         """
         if horizon_s <= 0:
             raise ValueError(f"horizon must be positive, got {horizon_s}")
         end_s = start_s + horizon_s
+        cycle_s = self.light.cycle_s
+        varying = callable(arrival_rate)
+        in_cycle = None if varying else self.empty_window(arrival_rate)
         windows: List[QueueWindow] = []
         cycle_start = self.light.cycle_start(start_s)
         while cycle_start < end_s:
-            rate = arrival_rate(cycle_start) if callable(arrival_rate) else arrival_rate
-            in_cycle = self.empty_window(rate)
+            if varying:
+                in_cycle = self.empty_window(arrival_rate(cycle_start))
             if in_cycle is not None:
-                lo = cycle_start + in_cycle[0]
-                hi = cycle_start + in_cycle[1]
-                lo, hi = max(lo, start_s), min(hi, end_s)
+                lo = max(cycle_start + in_cycle[0], start_s)
+                hi = min(cycle_start + in_cycle[1], end_s)
                 if hi > lo:
                     windows.append(QueueWindow(lo, hi))
-            cycle_start += self.light.cycle_s
+            cycle_start += cycle_s
         return windows
 
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ class TestShiftProperties:
     @given(profile=simple_profiles(), new_start=st.floats(0.0, 1000.0))
     @settings(max_examples=150, deadline=None)
     def test_shift_preserves_shape_and_duration(self, profile, new_start):
-        shifted = CloudPlannerService._shift_profile(profile, new_start)
+        shifted = profile.shifted_to(new_start)
         np.testing.assert_array_equal(shifted.positions_m, profile.positions_m)
         np.testing.assert_array_equal(shifted.speeds_ms, profile.speeds_ms)
         assert shifted.total_time_s == pytest.approx(profile.total_time_s)
@@ -35,7 +35,7 @@ class TestShiftProperties:
     @given(profile=simple_profiles(), new_start=st.floats(0.0, 1000.0))
     @settings(max_examples=150, deadline=None)
     def test_shift_translates_every_arrival_uniformly(self, profile, new_start):
-        shifted = CloudPlannerService._shift_profile(profile, new_start)
+        shifted = profile.shifted_to(new_start)
         delta = new_start - profile.start_time_s
         np.testing.assert_allclose(
             shifted.arrival_times_s,

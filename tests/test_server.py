@@ -4,7 +4,6 @@ import json
 import socket
 import struct
 import threading
-import time
 
 import pytest
 
@@ -133,19 +132,22 @@ class TestServing:
             assert resp.energy_mah == 123.0
             assert resp.profile.start_time_s == 3.0
             transport.close()
-            # ``served`` is counted after the response write completes,
-            # so the client can hold the response an instant before the
-            # loop thread bumps the counter — poll briefly.
-            deadline = time.monotonic() + 5.0
-            while (
-                handle.stats_snapshot().served < 1
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
+            # ``served`` is counted before the reply is handed to the
+            # transport, so a client holding it reads the count at once.
             stats = handle.stats_snapshot()
             assert stats.plan_requests == 1
             assert stats.served == 1
             assert stats.busy_rejections == 0
+
+    def test_served_never_lags_a_reply_the_client_holds(self):
+        service = StubPlannerService()
+        with serve_in_background(service) as handle:
+            with NetworkPlanTransport(*handle.address) as transport:
+                for i in range(250):
+                    resp = transport.request(PlanRequest(f"ev{i}", depart_s=float(i)))
+                    assert resp.vehicle_id == f"ev{i}"
+                    # No sleep, no poll: the count is already there.
+                    assert handle.stats_snapshot().served == i + 1
 
     def test_health_and_stats_kinds(self):
         service = StubPlannerService()
@@ -195,6 +197,27 @@ class TestContainment:
             stats = handle.stats_snapshot()
             assert stats.protocol_errors == 1
             assert stats.malformed_frames == 0
+
+    def test_out_of_range_number_answers_typed_and_connection_survives(self):
+        service = StubPlannerService()
+        text = wire.encode_request(PlanRequest("ev1", depart_s=10.0)).decode("ascii")
+        huge = text.replace('"depart_s":10.0', '"depart_s":' + "9" * 400)
+        assert huge != text
+        with serve_in_background(service) as handle:
+            with socket.create_connection(handle.address, timeout=5.0) as sock:
+                sock.sendall(encode_frame(huge.encode("ascii")))
+                kind, err = wire.decode_message(_read_one_frame(sock))
+                assert kind == wire.ERROR_KIND
+                assert err.code == wire.ERROR_PROTOCOL
+                assert "depart_s" in err.message
+                sock.sendall(encode_frame(text.encode("ascii")))
+                kind, resp = wire.decode_message(_read_one_frame(sock))
+                assert kind == wire.RESPONSE_KIND
+                assert resp.vehicle_id == "ev1"
+            stats = handle.stats_snapshot()
+            assert stats.protocol_errors == 1
+            assert stats.served == 1
+        assert service.calls == 1
 
     def test_broken_framing_answers_typed_then_closes(self):
         service = StubPlannerService()

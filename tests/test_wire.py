@@ -326,3 +326,213 @@ class TestVersioning:
                 payload = json.loads(blob)
                 assert payload["wire_version"] == version
                 wire.decode_message(blob)  # both decode under one window
+
+
+# ----------------------------------------------------------------------
+# Fast paths pinned to the per-element algorithms they replaced
+# ----------------------------------------------------------------------
+def per_element_floats(value, field, what="profile"):
+    """Reference array check: one scalar check per element, as before."""
+    if not isinstance(value, list):
+        raise WireProtocolError(
+            f"{what}.{field} must be an array, got {type(value).__name__}",
+            field=field,
+        )
+    return [wire._finite_float(v, f"{field}[{i}]", what) for i, v in enumerate(value)]
+
+
+def per_float_response_bytes(resp, version=wire.WIRE_VERSION):
+    """Reference encoder: every profile float through ``float()``, as before."""
+    profile = resp.profile
+    document = {
+        "wire_version": version,
+        "kind": wire.RESPONSE_KIND,
+        "vehicle_id": resp.vehicle_id,
+        "profile": None if profile is None else {
+            "positions_m": [float(v) for v in profile.positions_m],
+            "speeds_ms": [float(v) for v in profile.speeds_ms],
+            "dwell_s": [float(v) for v in profile.dwell_s],
+            "start_time_s": float(profile.start_time_s),
+        },
+        "energy_mah": float(resp.energy_mah),
+        "trip_time_s": float(resp.trip_time_s),
+        "cache_hit": bool(resp.cache_hit),
+        "compute_time_s": float(resp.compute_time_s),
+    }
+    if version >= 2:
+        document["corridor_id"] = resp.corridor_id
+    return json.dumps(
+        document, sort_keys=True, separators=(",", ":"), allow_nan=False
+    ).encode("ascii")
+
+
+HUGE_INT = 10**400  # parses from JSON, but no double holds it
+
+element = st.one_of(
+    st.floats(width=64),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from(
+        [0, -0.0, 5e-324, 1.7976931348623157e308, 2**53 + 1, HUGE_INT, -HUGE_INT,
+         True, False, None, "1.0", "", [1.0], {}, 1e400]
+    ),
+)
+
+
+class TestArrayDecodeMatchesPerElement:
+    def _assert_same(self, value, field="speeds_ms"):
+        try:
+            want = per_element_floats(value, field)
+        except WireProtocolError as ref_exc:
+            with pytest.raises(WireProtocolError) as excinfo:
+                wire._float_array(value, field, "profile")
+            assert str(excinfo.value) == str(ref_exc)
+            assert excinfo.value.field == ref_exc.field
+            return
+        got = wire._float_array(value, field, "profile")
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=st.lists(element, max_size=12))
+    def test_random_arrays(self, value):
+        self._assert_same(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [],
+            [1.5],
+            [0],
+            [True],
+            [False, 1.0],
+            ["1.0"],
+            [None],
+            [[1.0, 2.0]],
+            [HUGE_INT],
+            [1.0, -HUGE_INT],
+            [1e400],
+            [1.0, float("nan")],
+            [-0.0, 0.0, -0.0],
+            [2**63, 2**64 + 1, -(2**63) - 1],
+            [np.float64(2.5), 3.0],  # dict path: float subclasses are numbers
+            "1.0, 2.0",
+            {"a": 1.0},
+            None,
+        ],
+    )
+    def test_edge_arrays(self, value):
+        self._assert_same(value)
+
+    def test_rejection_names_the_element_through_the_public_decoder(self):
+        good = VelocityProfile([0.0, 100.0, 200.0], [5.0, 6.0, 7.0], start_time_s=3.0)
+        text = wire.encode_response(
+            PlanResponse(
+                vehicle_id="ev", profile=good, energy_mah=1.0, trip_time_s=2.0,
+                cache_hit=True, compute_time_s=0.0,
+            )
+        ).decode("ascii")
+        for literal, field in (
+            (str(HUGE_INT), "speeds_ms[1]"),
+            ("1e400", "speeds_ms[1]"),
+            ("true", "speeds_ms[1]"),
+            ('"6"', "speeds_ms[1]"),
+        ):
+            blob = text.replace('"speeds_ms":[5.0,6.0,7.0]', f'"speeds_ms":[5.0,{literal},7.0]')
+            assert blob != text
+            with pytest.raises(WireProtocolError) as excinfo:
+                wire.decode_message(blob)
+            assert excinfo.value.field == field
+
+
+class TestEncodeMatchesPerFloat:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        profile=profiles(),
+        energy=finite_double,
+        hit=st.booleans(),
+        version=st.sampled_from(wire.SUPPORTED_WIRE_VERSIONS),
+        new_start=st.floats(min_value=0.0, max_value=1e6, width=64),
+    )
+    def test_bytes_equal_the_per_float_encoder(self, profile, energy, hit, version, new_start):
+        for plan in (profile, profile.shifted_to(new_start), None):
+            resp = PlanResponse(
+                vehicle_id="ev-7",
+                profile=plan,
+                energy_mah=energy,
+                trip_time_s=123.456,
+                cache_hit=hit,
+                compute_time_s=0.0,
+            )
+            assert wire.encode_response(resp, version=version) == (
+                per_float_response_bytes(resp, version=version)
+            )
+
+    def test_negative_zero_and_extremes_render_identically(self):
+        profile = VelocityProfile(
+            [-0.0, 5e-324, 1.0, 1e300], [0.1, 0.0, 1e-300, 30.0], [-0.0, 0.0, 2.0, 0.0],
+            start_time_s=-0.0,
+        )
+        resp = PlanResponse(
+            vehicle_id="v", profile=profile, energy_mah=-0.0, trip_time_s=1.0,
+            cache_hit=False, compute_time_s=0.0,
+        )
+        assert wire.encode_response(resp) == per_float_response_bytes(resp)
+
+
+class TestOutOfRangeNumbers:
+    """A number no double holds is a typed wire error, never an OverflowError."""
+
+    def _request_payload(self, **overrides):
+        payload = wire.request_to_dict(PlanRequest(vehicle_id="a", depart_s=10.0))
+        payload.update(overrides)
+        return payload
+
+    @pytest.mark.parametrize("field", ["depart_s", "position_m", "speed_ms", "max_trip_time_s"])
+    def test_scalar_request_field_keeps_its_field(self, field):
+        for bad in (HUGE_INT, -HUGE_INT, float("nan"), float("inf")):
+            with pytest.raises(WireProtocolError) as excinfo:
+                wire.request_from_dict(self._request_payload(**{field: bad}))
+            assert excinfo.value.field == field
+            # One typed error from the field check, not re-wrapped as a
+            # contract violation around it.
+            assert str(excinfo.value).startswith(f"wire: {field}: plan request.{field} ")
+
+    def test_contract_violations_are_still_wrapped(self):
+        with pytest.raises(WireProtocolError) as excinfo:
+            wire.request_from_dict(self._request_payload(depart_s=-5.0))
+        assert "violates its contract" in str(excinfo.value)
+
+    def test_huge_integer_literal_in_request_bytes(self):
+        text = wire.encode_request(PlanRequest(vehicle_id="a", depart_s=10.0)).decode()
+        blob = text.replace('"depart_s":10.0', f'"depart_s":{HUGE_INT}')
+        assert blob != text
+        with pytest.raises(WireProtocolError) as excinfo:
+            wire.decode_message_versioned(blob)
+        assert excinfo.value.field == "depart_s"
+
+    def test_huge_scalar_in_response_bytes(self):
+        resp = PlanResponse(
+            vehicle_id="ev", profile=None, energy_mah=1.0, trip_time_s=2.0,
+            cache_hit=True, compute_time_s=0.0,
+        )
+        text = wire.encode_response(resp).decode()
+        blob = text.replace('"energy_mah":1.0', f'"energy_mah":{HUGE_INT}')
+        with pytest.raises(WireProtocolError) as excinfo:
+            wire.decode_message(blob)
+        assert excinfo.value.field == "energy_mah"
+
+    def test_profile_start_time_out_of_range(self):
+        payload = wire.profile_to_dict(VelocityProfile([0.0, 1.0], [1.0, 1.0]))
+        payload["start_time_s"] = HUGE_INT
+        with pytest.raises(WireProtocolError) as excinfo:
+            wire.profile_from_dict(payload)
+        assert excinfo.value.field == "start_time_s"
+
+    def test_parser_limits_are_typed(self):
+        # Integer literals past the interpreter's digit limit, and nesting
+        # deeper than the recursion limit, fail inside json itself.
+        digits = "9" * 5000
+        with pytest.raises(WireProtocolError):
+            wire.decode_message_versioned(f'{{"wire_version":2,"depart_s":{digits}}}')
+        with pytest.raises(WireProtocolError):
+            wire.decode_message_versioned("[" * 100_000 + "]" * 100_000)
