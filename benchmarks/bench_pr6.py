@@ -3,15 +3,16 @@
 PR 5's bench exposed a performance bug: the 4-worker threaded dispatcher
 was *slower* than serial serving (``dispatched_vs_serial: 0.94``) because
 the numpy stage kernels hold the GIL for most of a solve.  This bench
-measures the two fixes on the same Poisson fleet (US-25, fast grid):
+measures the dispatcher backends against serial serving on the same
+Poisson fleet (US-25, fast grid):
 
 * ``serial_*`` — the plain in-thread request loop (the baseline);
-* ``threaded_*`` — the PR 5 thread-pool dispatcher, 4 workers;
-* ``batched_*`` — the dispatcher's micro-batching mode: same-corridor
-  requests collected for a short window and solved as **one vectorized
-  DP program** (``DpSolver.solve_batch``);
+* ``threaded_*`` — the thread-pool dispatcher, 4 workers;
 * ``process_*`` — the key-sharded process backend: worker processes
   mapping the corridor artifacts from shared memory.
+
+The committed ``BENCH_pr6.json`` also holds a ``batched_*`` mode, the
+dispatcher's former micro-batching window; that mode no longer exists.
 
 Unlike ``bench_pr5.py``, the timer brackets *serving only* — requests
 are built up front and the human-reference synthesis of the full fleet
@@ -22,8 +23,12 @@ simulator.  Two gates:
   serial serving (profile arrays, energies, trip times, and the
   cache-hit flag per vehicle);
 * **throughput** — the best parallel mode must beat serial by the
-  ``--gate`` factor (2.0 for the committed run, 1.0 for the reduced CI
-  smoke: the bug was being *slower* than serial).
+  ``--gate`` factor (2.0 for the full run, 1.0 for the reduced one: the
+  bug was being *slower* than serial).  The report is written first, so
+  a failed gate still leaves its numbers behind.
+
+Record ``os.cpu_count()`` with any result: both backends need more than
+one core to win.
 
 Usage::
 
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import time
 from typing import List, Optional
@@ -56,7 +62,6 @@ DURATION_S = 1800.0
 START_S = 300.0
 SEED = 5
 WORKERS = 4
-BATCH_WINDOW_S = 0.05
 
 
 def _build_service() -> CloudPlannerService:
@@ -78,12 +83,7 @@ def _requests(duration_s: float) -> List[PlanRequest]:
     ]
 
 
-def _serve(
-    requests: List[PlanRequest],
-    workers: int,
-    backend: str = "thread",
-    batch_window_s: Optional[float] = None,
-):
+def _serve(requests: List[PlanRequest], workers: int, backend: str = "thread"):
     """Serve one cold-cache pass; returns ``(outcomes, wall_s, dispatch)``."""
     service = _build_service()
     if workers == 0:
@@ -95,9 +95,7 @@ def _serve(
             except Exception as exc:  # noqa: BLE001 - outcome, not a crash
                 outcomes.append(exc)
         return outcomes, time.perf_counter() - t0, None
-    dispatcher = PlanDispatcher(
-        service, workers=workers, backend=backend, batch_window_s=batch_window_s
-    )
+    dispatcher = PlanDispatcher(service, workers=workers, backend=backend)
     try:
         t0 = time.perf_counter()
         outcomes = dispatcher.submit_many(requests, return_exceptions=True)
@@ -135,22 +133,16 @@ def _assert_identical(name: str, outcomes, reference) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="PR 6 serving-throughput bench (batched + process backends)."
+        description="PR 6 serving-throughput bench (thread and process backends)."
     )
     parser.add_argument("--out", default="BENCH_pr6.json", help="report destination")
     parser.add_argument(
         "--reduced",
         action="store_true",
-        help="CI smoke: shorter fleet, one round, serial vs batched only",
+        help="shorter fleet, one round, serial vs threaded only",
     )
     parser.add_argument("--workers", type=int, default=WORKERS)
     parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=BATCH_WINDOW_S,
-        help="micro-batching collection window (s) for the batched mode",
-    )
     parser.add_argument(
         "--gate",
         type=float,
@@ -167,17 +159,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"fleet: {len(requests)} departures over {duration_s:.0f} s")
 
     serial, serial_s, _ = _timed(rounds, requests=requests, workers=0)
-    batched, batched_s, batched_stats = _timed(
-        rounds, requests=requests, workers=args.workers,
-        batch_window_s=args.batch_window,
+    threaded, threaded_s, threaded_stats = _timed(
+        rounds, requests=requests, workers=args.workers
     )
-    _assert_identical("batched", batched, serial)
-    assert batched_stats.batches > 0, "micro-batching never formed a batch"
-    assert batched_stats.batched == len(requests), (
-        "not every request went through the batch path"
-    )
+    _assert_identical("threaded", threaded, serial)
 
-    modes = {"batched": batched_s}
+    modes = {"threaded": threaded_s}
     report = {
         "bench": "pr6-parallel-serving",
         "grid": {"v_step_ms": 1.0, "s_step_m": 25.0, "t_bin_s": 2.0},
@@ -187,35 +174,26 @@ def main(argv: Optional[List[str]] = None) -> int:
             "seed": SEED,
             "vehicles": len(requests),
         },
+        "cpu_count": os.cpu_count(),
         "workers": args.workers,
-        "batch_window_s": args.batch_window,
         "rounds": rounds,
         "reduced": bool(args.reduced),
         "serial_wall_s": round(serial_s, 4),
-        "batched_wall_s": round(batched_s, 4),
-        "batched_vs_serial": round(serial_s / batched_s, 2),
-        "batcher": {
-            "batches": batched_stats.batches,
-            "batched": batched_stats.batched,
-            "leaders": batched_stats.leaders,
-            "coalesced": batched_stats.coalesced,
+        "threaded_wall_s": round(threaded_s, 4),
+        "threaded_vs_serial": round(serial_s / threaded_s, 2),
+        "dispatcher": {
+            "leaders": threaded_stats.leaders,
+            "coalesced": threaded_stats.coalesced,
         },
         "identical_to_serial": True,
     }
 
     if not args.reduced:
-        threaded, threaded_s, _ = _timed(
-            rounds, requests=requests, workers=args.workers
-        )
-        _assert_identical("threaded", threaded, serial)
         process, process_s, _ = _timed(
             rounds, requests=requests, workers=args.workers, backend="process"
         )
         _assert_identical("process", process, serial)
-        modes["threaded"] = threaded_s
         modes["process"] = process_s
-        report["threaded_wall_s"] = round(threaded_s, 4)
-        report["threaded_vs_serial"] = round(serial_s / threaded_s, 2)
         report["process_wall_s"] = round(process_s, 4)
         report["process_vs_serial"] = round(serial_s / process_s, 2)
 

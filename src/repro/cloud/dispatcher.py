@@ -63,11 +63,6 @@ class DispatcherStats:
             in-flight solve.
         deadline_exceeded: Requests failed on an expired deadline.
         workers: The pool size.
-        batched: Requests served through the micro-batching path (one
-            vectorized DP per window instead of one solve per request).
-        batches: Micro-batch windows drained (each one
-            :meth:`~repro.cloud.service.CloudPlannerService.request_batch`
-            call).
     """
 
     submitted: int = 0
@@ -77,8 +72,6 @@ class DispatcherStats:
     coalesced: int = 0
     deadline_exceeded: int = 0
     workers: int = 0
-    batched: int = 0
-    batches: int = 0
 
     @property
     def in_flight(self) -> int:
@@ -121,16 +114,6 @@ class PlanDispatcher:
             (:class:`repro.cloud.procpool.ProcessBackend`) — real
             parallelism for the GIL-bound DP, at the cost of per-worker
             service caches.
-        batch_window_s: When set (thread backend only), coalescable
-            requests are *micro-batched*: the dispatcher collects
-            submissions for this many seconds, then serves the whole
-            window through
-            :meth:`CloudPlannerService.request_batch` — every cold key
-            in the window is solved as **one** vectorized DP program
-            (see ``repro.core.engine.stage_kernel``), which beats the
-            GIL without leaving the process.  Uncoalescable requests
-            (replans, non-energy objectives) bypass the window and run
-            on the thread pool as usual.
 
     Use as a context manager, or call :meth:`shutdown` when done.
     """
@@ -141,21 +124,12 @@ class PlanDispatcher:
         workers: int = 4,
         name: str = "cloud.dispatch",
         backend: str = "thread",
-        batch_window_s: Optional[float] = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"dispatcher needs >= 1 worker, got {workers}")
         if backend not in ("thread", "process"):
             raise ConfigurationError(
                 f"dispatcher backend must be 'thread' or 'process', got {backend!r}"
-            )
-        if batch_window_s is not None and batch_window_s <= 0:
-            raise ConfigurationError(
-                f"batch window must be positive, got {batch_window_s}"
-            )
-        if backend == "process" and batch_window_s is not None:
-            raise ConfigurationError(
-                "micro-batching applies to the thread backend only"
             )
         self.service = service
         self.workers = int(workers)
@@ -172,23 +146,13 @@ class PlanDispatcher:
         self._leaders = 0
         self._coalesced = 0
         self._deadline_exceeded = 0
-        self._batched = 0
-        self._batches = 0
-        self._batch_window_s = None if batch_window_s is None else float(batch_window_s)
-        self._batch_pending: List[tuple] = []
-        self._batch_cv = threading.Condition()
-        self._batch_stop = False
-        self._batch_thread: Optional[threading.Thread] = None
-        if self._batch_window_s is not None:
-            self._batch_thread = threading.Thread(
-                target=self._batch_loop, name="plan-batcher", daemon=True
-            )
-            self._batch_thread.start()
         self._proc = None
         if backend == "process":
             from repro.cloud.procpool import ProcessBackend
 
-            self._proc = ProcessBackend(service, workers=self.workers)
+            self._proc = ProcessBackend(
+                service, self._account_process_outcome, workers=self.workers
+            )
 
     # ------------------------------------------------------------------
     # Submission
@@ -214,22 +178,7 @@ class PlanDispatcher:
             with self._lock:
                 self._submitted += 1
             registry.inc(f"{self.name}.submitted")
-            future = self._proc.submit(req, key, deadline_s, submitted_at)
-            future.add_done_callback(self._account_process_outcome)
-            return future
-        if self._batch_window_s is not None and key is not None:
-            # Micro-batching: park the request with its future; the
-            # batcher thread drains the window into one request_batch.
-            with self._lock:
-                self._submitted += 1
-            registry.inc(f"{self.name}.submitted")
-            future: "Future[PlanResponse]" = Future()
-            with self._batch_cv:
-                self._batch_pending.append(
-                    (req, key, future, deadline_s, submitted_at)
-                )
-                self._batch_cv.notify()
-            return future
+            return self._proc.submit(req, key, deadline_s, submitted_at)
         leader = False
         flight: Optional[_Flight] = None
         if key is not None:
@@ -288,116 +237,25 @@ class PlanDispatcher:
         """Synchronous convenience wrapper: submit and wait."""
         return self.submit(req, deadline_s=deadline_s).result()
 
-    # ------------------------------------------------------------------
-    # Micro-batching
-    # ------------------------------------------------------------------
-    def _batch_loop(self) -> None:
-        """Batcher thread: wait for work, collect the window, serve it."""
-        while True:
-            with self._batch_cv:
-                while not self._batch_pending and not self._batch_stop:
-                    self._batch_cv.wait()
-                if self._batch_stop and not self._batch_pending:
-                    return
-            # Let the window fill: submissions landing during this sleep
-            # join the same vectorized solve.
-            _time.sleep(self._batch_window_s)
-            with self._batch_cv:
-                batch = self._batch_pending
-                self._batch_pending = []
-            if batch:
-                self._serve_batch(batch)
+    def _account_process_outcome(
+        self, outcome: Union[PlanResponse, Exception]
+    ) -> None:
+        """Count a process-backend outcome before its future resolves.
 
-    @staticmethod
-    def _resolve(future: Future, outcome: Union[PlanResponse, Exception]) -> None:
-        try:
-            if isinstance(outcome, Exception):
-                future.set_exception(outcome)
-            else:
-                future.set_result(outcome)
-        except Exception:  # noqa: BLE001 - future was cancelled; outcome moot
-            pass
-
-    def _serve_batch(self, batch: List[tuple]) -> None:
-        """Serve one drained window through ``service.request_batch``."""
+        The backend calls this ahead of resolving the future, so a
+        caller woken by the result never reads counters that lag it.
+        """
         registry = obs.get_registry()
-        live = []
-        for req, key, future, deadline_s, submitted_at in batch:
-            if (
-                deadline_s is not None
-                and _time.monotonic() - submitted_at >= deadline_s
-            ):
-                with self._lock:
-                    self._deadline_exceeded += 1
-                    self._errors += 1
-                registry.inc(f"{self.name}.deadline_exceeded")
-                registry.inc(f"{self.name}.errors")
-                self._resolve(
-                    future,
-                    DispatchDeadlineError(
-                        f"request for {req.vehicle_id!r} missed its "
-                        f"{deadline_s:.2f} s deadline while queued",
-                        vehicle_id=req.vehicle_id,
-                        deadline_s=deadline_s,
-                    ),
-                )
-                continue
-            live.append((req, key, future))
-        if not live:
-            return
-        try:
-            outcomes = self.service.request_batch([req for req, _, _ in live])
-        except Exception as exc:  # noqa: BLE001 - fail the window, not the loop
-            for _, _, future in live:
-                with self._lock:
-                    self._errors += 1
-                registry.inc(f"{self.name}.errors")
-                self._resolve(future, exc)
-            return
-        with self._lock:
-            self._batches += 1
-            self._batched += len(live)
-        registry.inc(f"{self.name}.batches")
-        seen_keys = set()
-        for (req, key, future), outcome in zip(live, outcomes):
-            first = key not in seen_keys
-            seen_keys.add(key)
-            if isinstance(outcome, Exception):
-                with self._lock:
-                    self._errors += 1
-                registry.inc(f"{self.name}.errors")
-            else:
-                # Mirror the single-flight classification: the first
-                # request of a key in the window is its leader; later
-                # ones count as coalesced only if the warm cache
-                # actually answered them.
-                if first:
-                    with self._lock:
-                        self._leaders += 1
-                    registry.inc(f"{self.name}.leaders")
-                elif outcome.cache_hit:
-                    with self._lock:
-                        self._coalesced += 1
-                    registry.inc(f"{self.name}.coalesced")
-                with self._lock:
-                    self._completed += 1
-                registry.inc(f"{self.name}.completed")
-            self._resolve(future, outcome)
-
-    def _account_process_outcome(self, future: Future) -> None:
-        """Done-callback counting a process-backend future's outcome."""
-        registry = obs.get_registry()
-        exc = future.exception()
-        if exc is not None:
+        if isinstance(outcome, Exception):
             with self._lock:
                 self._errors += 1
-                if isinstance(exc, DispatchDeadlineError):
+                if isinstance(outcome, DispatchDeadlineError):
                     self._deadline_exceeded += 1
             registry.inc(f"{self.name}.errors")
-            if isinstance(exc, DispatchDeadlineError):
+            if isinstance(outcome, DispatchDeadlineError):
                 registry.inc(f"{self.name}.deadline_exceeded")
             return
-        response = future.result()
+        response = outcome
         with self._lock:
             self._completed += 1
             if response.cache_hit:
@@ -497,13 +355,7 @@ class PlanDispatcher:
     # Lifecycle / stats
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the batcher, any worker processes and the pool (idempotent)."""
-        if self._batch_thread is not None:
-            with self._batch_cv:
-                self._batch_stop = True
-                self._batch_cv.notify_all()
-            if wait:
-                self._batch_thread.join(timeout=30.0)
+        """Stop any worker processes and the pool (idempotent)."""
         if self._proc is not None:
             self._proc.shutdown(wait=wait)
         self._pool.shutdown(wait=wait)
@@ -525,6 +377,4 @@ class PlanDispatcher:
                 coalesced=self._coalesced,
                 deadline_exceeded=self._deadline_exceeded,
                 workers=self.workers,
-                batched=self._batched,
-                batches=self._batches,
             )

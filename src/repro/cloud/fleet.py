@@ -16,9 +16,9 @@ Two serving modes share one aggregation path:
   serves distinct phases concurrently and coalesces same-phase requests
   into single solves.  Submission order matches departure order, so
   coalescing leadership (and therefore every served profile) is
-  bit-identical to the serial mode.  The dispatcher's batched
-  (``batch_window_s``) and process (``backend="process"``) variants
-  plug in here unchanged — all of them serve bit-identical plans.
+  bit-identical to the serial mode.  The dispatcher's process backend
+  (``backend="process"``) plugs in here unchanged and serves
+  bit-identical plans too.
 
 With ``wire_roundtrip=True`` every request and response crosses the
 :mod:`repro.cloud.wire` codec — a realistic serialization boundary whose
@@ -178,10 +178,6 @@ class FleetStudy:
         backend: Dispatcher backend when ``workers > 0``: ``"thread"``
             (default) or ``"process"`` (key-sharded worker processes
             over shared-memory artifacts).
-        batch_window_s: When set (thread backend), the dispatcher
-            micro-batches the stream: same-window requests solve as one
-            vectorized DP (see
-            :meth:`~repro.cloud.service.CloudPlannerService.request_batch`).
         via: Alternate request target for serial mode — anything with a
             compatible ``request(req)`` (a
             :class:`~repro.cloud.netclient.NetworkPlanTransport`
@@ -214,7 +210,6 @@ class FleetStudy:
         workers: int = 0,
         wire_roundtrip: bool = False,
         backend: str = "thread",
-        batch_window_s: Optional[float] = None,
         via=None,
         corridors: Optional[Sequence] = None,
     ) -> None:
@@ -257,7 +252,6 @@ class FleetStudy:
         self.workers = int(workers)
         self.wire_roundtrip = bool(wire_roundtrip)
         self.backend = backend
-        self.batch_window_s = batch_window_s
 
     def _corridor_of(self, index: int):
         """The corridor spec vehicle ``index`` departs on (``None`` = single)."""
@@ -294,10 +288,7 @@ class FleetStudy:
         ]
         if self.workers > 0:
             dispatcher = PlanDispatcher(
-                self.service,
-                workers=self.workers,
-                backend=self.backend,
-                batch_window_s=self.batch_window_s,
+                self.service, workers=self.workers, backend=self.backend
             )
             try:
                 outcomes = dispatcher.submit_many(requests, return_exceptions=True)

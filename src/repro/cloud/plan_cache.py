@@ -135,35 +135,12 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: Hashable) -> bool:
-        """Membership with :meth:`get`'s expiry semantics, without a lookup.
-
-        An entry past its TTL is dropped and counted as an expiration —
-        exactly as :meth:`get` would have done — so ``size`` and the
-        eviction order never disagree with what a lookup would observe.
-        No hit/miss is counted and recency is not refreshed: membership
-        tests are not serving decisions.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            if self._expired(entry[1]):
-                del self._entries[key]
-                self._expirations += 1
-                obs.get_registry().inc(f"{self.name}.expirations")
-                return False
-            return True
-
     def peek(self, key: Hashable) -> Optional[Any]:
         """The cached value with **no** side effects at all.
 
         Unlike :meth:`get`, nothing is counted, recency is not refreshed
         and an expired entry is left in place (it merely reads as
-        absent).  The batched serving path uses this to *plan* its cache
-        interactions ahead of replaying them with :meth:`get`/:meth:`put`
-        in serial order, so the counters still reflect the serial
-        story exactly.
+        absent), so inspecting the cache never changes its books.
         """
         with self._lock:
             entry = self._entries.get(key)

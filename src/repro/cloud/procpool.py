@@ -24,8 +24,7 @@ over identical artifacts and key-sharding preserves per-key request
 order.
 
 This backend is honest about platform limits: on a single-core host the
-workers time-slice one CPU and throughput gains come from the batched
-thread path instead (see ``PlanDispatcher(batch_window_s=...)``).
+workers time-slice one CPU, so it cannot beat serial serving there.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import multiprocessing as mp
 import threading
 import time as _time
 from concurrent.futures import Future
-from typing import Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.cloud.messages import PlanRequest
 from repro.cloud.service import CloudPlannerService
@@ -121,10 +120,18 @@ class ProcessBackend:
             rebuild from.  Callable arrival rates cannot cross a spawn
             boundary; under the default Linux ``fork`` start method they
             are inherited and work fine.
+        on_outcome: Called with each outcome (response or exception)
+            just before its future resolves, so whatever it counts is
+            already counted when a waiter wakes.
         workers: Number of worker processes (>= 1).
     """
 
-    def __init__(self, service: CloudPlannerService, workers: int = 4) -> None:
+    def __init__(
+        self,
+        service: CloudPlannerService,
+        on_outcome: Callable[[object], None],
+        workers: int = 4,
+    ) -> None:
         if workers < 1:
             raise ConfigurationError(f"process backend needs >= 1 worker, got {workers}")
         planner = service.planner
@@ -135,6 +142,7 @@ class ProcessBackend:
                 "process backend needs a planner with solver artifacts to share"
             )
         self.workers = int(workers)
+        self._on_outcome = on_outcome
         self._shared = SharedCorridor.export(artifacts)
         recipe = {
             "planner_cls": type(planner),
@@ -190,9 +198,7 @@ class ProcessBackend:
         future: Future = Future()
         with self._lock:
             if self._down:
-                future.set_exception(
-                    RuntimeError("process backend is shut down")
-                )
+                self._settle(future, RuntimeError("process backend is shut down"))
                 return future
             task_id = self._task_seq
             self._task_seq += 1
@@ -205,6 +211,17 @@ class ProcessBackend:
         self._tasks[shard].put((task_id, req, deadline_s, submitted_at))
         return future
 
+    def _settle(self, future: Future, outcome: object) -> None:
+        """Hand the outcome to ``on_outcome``, then resolve its future."""
+        self._on_outcome(outcome)
+        try:
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
+        except Exception:  # noqa: BLE001 - future was cancelled
+            pass
+
     def _collect(self) -> None:
         while True:
             item = self._results.get()
@@ -213,15 +230,8 @@ class ProcessBackend:
             task_id, outcome = item
             with self._lock:
                 future = self._futures.pop(task_id, None)
-            if future is None:
-                continue
-            try:
-                if isinstance(outcome, Exception):
-                    future.set_exception(outcome)
-                else:
-                    future.set_result(outcome)
-            except Exception:  # noqa: BLE001 - future was cancelled
-                pass
+            if future is not None:
+                self._settle(future, outcome)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -249,10 +259,7 @@ class ProcessBackend:
             leftovers = list(self._futures.values())
             self._futures.clear()
         for future in leftovers:
-            try:
-                future.set_exception(
-                    RuntimeError("process backend shut down before serving")
-                )
-            except Exception:  # noqa: BLE001 - future was cancelled
-                pass
+            self._settle(
+                future, RuntimeError("process backend shut down before serving")
+            )
         self._shared.unlink()

@@ -109,9 +109,6 @@ class _LaneView:
     def request(self, req: PlanRequest) -> PlanResponse:
         return self._router._request_direct(req)
 
-    def request_batch(self, reqs: Sequence[PlanRequest]):
-        return self._router._request_batch_direct(reqs)
-
 
 class _AggregateCaches:
     """A ``plan_cache``-shaped view summing the corridor caches.
@@ -246,38 +243,6 @@ class PlanRouter:
     def _request_direct(self, req: PlanRequest) -> PlanResponse:
         return self._resolve(req).request(req)
 
-    def _request_batch_direct(
-        self, reqs: Sequence[PlanRequest]
-    ) -> List[Union[PlanResponse, Exception]]:
-        """Group by corridor (order preserved within each), serve, scatter."""
-        outcomes: List[Union[PlanResponse, Exception]] = [None] * len(reqs)
-        groups: "Dict[str, List[int]]" = {}
-        for idx, req in enumerate(reqs):
-            groups.setdefault(req.corridor_id, []).append(idx)
-        for corridor_id, indices in groups.items():
-            try:
-                service = self.catalog.service(corridor_id)
-            except UnknownCorridorError as exc:
-                registry = obs.get_registry()
-                with self._mutex:
-                    self._rejected += len(indices)
-                for idx in indices:
-                    registry.inc(f"{self.name}.rejected")
-                    outcomes[idx] = exc
-                continue
-            shard = self.shard_of(corridor_id)
-            registry = obs.get_registry()
-            with self._mutex:
-                self._routed += len(indices)
-                self._per_shard[shard] += len(indices)
-            for idx in indices:
-                registry.inc(f"{self.name}.routed")
-                registry.inc(f"{self.name}.shard{shard}.routed")
-            sub = service.request_batch([reqs[idx] for idx in indices])
-            for idx, outcome in zip(indices, sub):
-                outcomes[idx] = outcome
-        return outcomes
-
     # ------------------------------------------------------------------
     # The CloudPlannerService protocol
     # ------------------------------------------------------------------
@@ -314,21 +279,25 @@ class PlanRouter:
     def request_batch(
         self, reqs: Sequence[PlanRequest]
     ) -> List[Union[PlanResponse, Exception]]:
-        """Serve many requests, batched per corridor, results in order.
+        """Serve many requests, results (or exceptions) in order.
 
-        Without lanes this is the corridor-grouped equivalent of
-        :meth:`CloudPlannerService.request_batch` — every corridor's
-        sub-batch is served as one vectorized program.  With lanes, each
-        request is submitted to its shard's dispatcher (submission order
-        preserved, so per-key leadership matches the serial order) and
-        the shards serve concurrently.
+        Without lanes this is a loop of direct :meth:`request` calls.
+        With lanes, each request is submitted to its shard's dispatcher
+        (submission order preserved, so per-key leadership matches the
+        serial order) and the shards serve concurrently.
         """
         if not self._lanes:
-            return self._request_batch_direct(reqs)
+            outcomes: List[Union[PlanResponse, Exception]] = []
+            for req in reqs:
+                try:
+                    outcomes.append(self._request_direct(req))
+                except Exception as exc:  # noqa: BLE001 - mirrored to caller
+                    outcomes.append(exc)
+            return outcomes
         futures = [
             self._lanes[self.shard_of(req.corridor_id)].submit(req) for req in reqs
         ]
-        outcomes: List[Union[PlanResponse, Exception]] = []
+        outcomes = []
         for future in futures:
             try:
                 outcomes.append(future.result())

@@ -2,7 +2,7 @@
 
 Everything below this module already worked in-process — the versioned
 wire codec, the bounded :class:`~repro.cloud.plan_cache.PlanCache`, the
-coalescing/batching :class:`~repro.cloud.dispatcher.PlanDispatcher` —
+coalescing :class:`~repro.cloud.dispatcher.PlanDispatcher` —
 but nothing *listened*.  :class:`PlanServer` is the missing layer: a
 socket endpoint speaking the wire protocol over length-prefixed frames
 (:mod:`repro.cloud.framing`), built so that overload and garbage
@@ -46,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -280,7 +281,11 @@ class PlanServer:
         return document
 
     def stats_snapshot(self) -> ServerStats:
-        """A point-in-time copy of the counters."""
+        """A point-in-time copy of the counters.
+
+        Consistent only on the event-loop thread, which bumps them; from
+        other threads use :meth:`ServerHandle.stats_snapshot`.
+        """
         return replace(self.stats)
 
     # ------------------------------------------------------------------
@@ -579,6 +584,10 @@ class ServerHandle:
         self.server = server
         self._loop = loop
         self._thread = thread
+        # Orders snapshot copies before the drain's ``loop.stop``, so a
+        # copy scheduled on the loop always runs.
+        self._lock = threading.Lock()
+        self._stopping = False
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -586,7 +595,24 @@ class ServerHandle:
         return self.server.address
 
     def stats_snapshot(self) -> ServerStats:
-        """The server's counters (int reads are atomic under the GIL)."""
+        """A copy of the server's counters in which no two disagree.
+
+        The counters are bumped on the event-loop thread, so the copy is
+        taken there.  Called on that thread, or once the drain has
+        stopped the loop, it copies directly.
+        """
+        if threading.current_thread() is not self._thread:
+            copied: "Future[ServerStats]" = Future()
+            with self._lock:
+                on_loop = not self._stopping and self._thread.is_alive()
+                if on_loop:
+                    self._loop.call_soon_threadsafe(
+                        lambda: copied.set_result(self.server.stats_snapshot())
+                    )
+            if on_loop:
+                return copied.result()
+            # Stopping: once the loop thread exits, nothing bumps them.
+            self._thread.join(timeout=10.0)
         return self.server.stats_snapshot()
 
     @property
@@ -601,7 +627,9 @@ class ServerHandle:
                 self.server.drain(timeout_s=timeout_s), self._loop
             )
             document = future.result(timeout=timeout_s + 10.0)
-            self._loop.call_soon_threadsafe(self._loop.stop)
+            with self._lock:
+                self._stopping = True
+                self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=10.0)
             return document
         return self.server.final_stats

@@ -35,7 +35,7 @@ import math
 import threading
 import time as _time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.cloud.messages import DEFAULT_CORRIDOR_ID, PlanRequest, PlanResponse
@@ -92,28 +92,6 @@ class ServiceStats:
         """
         served = self.cache_hits + self.cache_misses
         return self.cache_hits / served if served else 0.0
-
-
-# Sentinels returned by the batched per-request serve step: the request
-# cannot complete this round and is deferred (its key needs a solve that
-# is not in hand, or its budget floor expired mid-batch).
-_NEED_SOLVE = object()
-_NEED_MIN = object()
-
-
-@dataclass
-class _FlowItem:
-    """Mutable per-request state threaded through the batched serve rounds."""
-
-    idx: int
-    req: PlanRequest
-    phase_bin: int
-    budget: Optional[float] = None
-    key: Optional[Tuple[int, int]] = None
-    min_err: Optional[InfeasibleProblemError] = None
-    # The plan-cache lookup (and a possible revalidation miss) has been
-    # accounted in an earlier round; on retry go straight to the solve.
-    solve_pending: bool = False
 
 
 class CloudPlannerService:
@@ -426,292 +404,27 @@ class CloudPlannerService:
             corridor_id=req.corridor_id,
         )
 
-    # ------------------------------------------------------------------
-    # Batched serving
-    # ------------------------------------------------------------------
     def request_batch(
         self, reqs: Sequence[PlanRequest]
     ) -> List[Union[PlanResponse, Exception]]:
-        """Serve many requests at once, solving cold keys as one batched DP.
+        """Serve many requests in order, one :meth:`request` each.
 
-        Semantically this is ``[self.request(r) for r in reqs]`` with
-        exceptions captured in place of responses: every request gets the
-        same plan (bit-identical profile), the same error (same message),
-        and the caches and counters end in the same state a serial loop
-        would have left them in — hits, misses, expirations,
-        revalidation misses and the ``requests == hits + misses +
-        errors`` invariant included.  What changes is *how* the cold
-        solves run: all requests needing a fresh DP in a given round are
-        stacked and solved through :meth:`DpPlannerBase.plan_batch` as
-        one numpy program, which is where the fleet-level speedup comes
-        from (see ``repro.core.engine.stage_kernel``).
-
-        Uncoalescable requests (replans, non-energy objectives, or an
-        uncacheable planner — :meth:`coalesce_key` returns ``None``) fall
-        back to a plain :meth:`request` call inside the batch, in order.
-
-        Counter exactness assumes this batch is the only writer of the
-        serving caches while it runs — which is how the batching
-        dispatcher uses it.  Concurrent solo requests stay *correct*
-        (the caches are locked), but the batch may then solve a key a
-        concurrent request also solved, spending a redundant solve where
-        serial serving would have hit.  One further caveat: when a
-        request is deferred across solve rounds (a revalidation miss
-        behind a warm entry), its cache *put* lands after later
-        requests' operations, so the LRU recency order — though not the
-        key set or any counter — can differ from serial; under capacity
-        pressure that may change which entry is evicted first.
+        This is a plain loop over :meth:`request` with exceptions
+        captured in place of responses, so one bad request does not
+        mask the others, and plans, caches and counters are those of
+        serial serving.
 
         Returns:
             One entry per request, in order: a :class:`PlanResponse`, or
-            the exception :meth:`request` would have raised for it.
+            the exception :meth:`request` raised for it.
         """
-        registry = obs.get_registry()
-        outcomes: List[Union[PlanResponse, Exception]] = [None] * len(reqs)
-        flow: List[_FlowItem] = []
-        for idx, req in enumerate(reqs):
+        outcomes: List[Union[PlanResponse, Exception]] = []
+        for req in reqs:
             try:
-                self._check_corridor(req)
-                validate_plan_request(
-                    req,
-                    route_length_m=self.planner.road.length_m,
-                    source=f"plan request from {req.vehicle_id!r}",
-                    check_fields=False,
-                )
+                outcomes.append(self.request(req))
             except Exception as exc:  # noqa: BLE001 - mirrored to caller
-                outcomes[idx] = exc
-                continue
-            key = self.coalesce_key(req)
-            if key is None:
-                try:
-                    outcomes[idx] = self.request(req)
-                except Exception as exc:  # noqa: BLE001 - mirrored to caller
-                    outcomes[idx] = exc
-            else:
-                with self._mutex:
-                    self.stats.requests += 1
-                registry.inc(f"{self.name}.requests")
-                flow.append(_FlowItem(idx=idx, req=req, phase_bin=key[0]))
-        if flow:
-            self._serve_flow(flow, outcomes, registry)
+                outcomes.append(exc)
         return outcomes
-
-    def _serve_flow(
-        self,
-        flow: List[_FlowItem],
-        outcomes: List[Union[PlanResponse, Exception]],
-        registry: obs.MetricsRegistry,
-    ) -> None:
-        """Round-based batched serving of the coalescable requests.
-
-        Each round: (1) batch-solve the min-time floors missing for
-        budget-less requests, (2) resolve every request's budget and
-        plan-cache key, (3) batch-solve one plan per key that needs one
-        (the *head* — the first pending request of that key, exactly the
-        request that would have solved serially), (4) serve the requests
-        in submission order, replaying the serial cache/counter
-        operations; a request whose key needs a solve that is not in
-        hand is deferred to the next round, along with everything behind
-        it on the same key (per-key serial order is what makes followers
-        hit the leader's warm entry).  Every round completes at least
-        each key's head, so the loop terminates.
-        """
-        remaining = flow
-        # Min-time floors solved this batch but possibly not yet put()
-        # into the memo (the put happens at serve time, in serial order).
-        min_hand: Dict[int, Union[float, InfeasibleProblemError]] = {}
-        while remaining:
-            # (1) Discover and batch-solve missing min-time floors.
-            need_bins: List[Tuple[int, float]] = []
-            claimed = set()
-            for it in remaining:
-                if it.req.max_trip_time_s is not None or it.min_err is not None:
-                    continue
-                pb = it.phase_bin
-                if pb in claimed or pb in min_hand or pb in self.min_time_cache:
-                    continue
-                claimed.add(pb)
-                need_bins.append((pb, it.req.depart_s))
-            if need_bins:
-                t0 = _time.perf_counter()
-                floors = self.planner.min_trip_time_batch(
-                    [depart for _, depart in need_bins]
-                )
-                with self._mutex:
-                    self.stats.total_compute_s += _time.perf_counter() - t0
-                for (pb, _), floor in zip(need_bins, floors):
-                    min_hand[pb] = floor
-            # (2) Resolve budgets and real cache keys.
-            for it in remaining:
-                if it.budget is not None or it.min_err is not None:
-                    continue
-                if it.req.max_trip_time_s is not None:
-                    it.budget = it.req.max_trip_time_s
-                else:
-                    floor = self.min_time_cache.peek(it.phase_bin)
-                    if floor is None:
-                        res = min_hand.get(it.phase_bin)
-                        if isinstance(res, InfeasibleProblemError):
-                            it.min_err = res
-                            continue
-                        if res is None:
-                            # The memo expired between discovery and now;
-                            # leave unresolved — next round re-solves it.
-                            continue
-                        floor = res
-                    it.budget = floor + self.default_budget_slack_s
-                it.key = (it.phase_bin, int(it.budget / self.budget_quantum_s))
-            # (3) Batch-solve one plan per key whose head needs one.
-            heads: Dict[Tuple[int, int], _FlowItem] = {}
-            for it in remaining:
-                if it.key is not None and it.min_err is None:
-                    heads.setdefault(it.key, it)
-            to_solve = [
-                it
-                for it in heads.values()
-                if it.solve_pending or it.key not in self.plan_cache
-            ]
-            hand: Dict[Tuple[int, int], Union[object, InfeasibleProblemError]] = {}
-            if to_solve:
-                t0 = _time.perf_counter()
-                sols = self.planner.plan_batch(
-                    [(it.req.depart_s, it.budget) for it in to_solve]
-                )
-                with self._mutex:
-                    self.stats.total_compute_s += _time.perf_counter() - t0
-                for it, sol in zip(to_solve, sols):
-                    hand[it.key] = sol
-            # (4) Serve in submission order, deferring blocked keys.
-            deferred: List[_FlowItem] = []
-            blocked = set()
-            for it in remaining:
-                if it.min_err is None and it.key is None:
-                    # Budget still unresolved (expired floor); retry.
-                    deferred.append(it)
-                    continue
-                if it.key is not None and it.key in blocked:
-                    deferred.append(it)
-                    continue
-                result = self._flow_serve_one(it, min_hand, hand, registry)
-                if result is _NEED_SOLVE:
-                    blocked.add(it.key)
-                    deferred.append(it)
-                elif result is _NEED_MIN:
-                    # The memoized floor expired between key resolution
-                    # and the serve; re-derive budget and key next round.
-                    it.budget = None
-                    it.key = None
-                    deferred.append(it)
-                else:
-                    outcomes[it.idx] = result
-            remaining = deferred
-
-    def _flow_serve_one(
-        self,
-        it: _FlowItem,
-        min_hand: Dict[int, object],
-        hand: Dict[Tuple[int, int], object],
-        registry: obs.MetricsRegistry,
-    ):
-        """Serve one batched request, replaying serial cache accounting.
-
-        Returns a :class:`PlanResponse`, an exception to hand back, or
-        one of the deferral sentinels.
-        """
-        req = it.req
-        t_req = _time.perf_counter()
-        if it.min_err is not None:
-            # Serial would re-run the failed min-time solve per request:
-            # replay its (miss-counted) lookup and its error.
-            self.min_time_cache.get(it.phase_bin)
-            return self._flow_error(req, it.min_err, registry, t_req)
-        if req.max_trip_time_s is None and not it.solve_pending:
-            # Replay the serial budget-floor lookup (and first-miss put)
-            # exactly once per request — a deferred retry resumes past it.
-            floor = self.min_time_cache.get(it.phase_bin)
-            if floor is None:
-                res = min_hand.get(it.phase_bin)
-                if res is None or isinstance(res, InfeasibleProblemError):
-                    return _NEED_MIN
-                self.min_time_cache.put(it.phase_bin, res)
-        key = it.key
-        if not it.solve_pending:
-            cached = self.plan_cache.get(key)
-            if cached is not None:
-                profile, energy_mah, trip_time = cached
-                shifted = profile.shifted_to(req.depart_s)
-                if self._revalidate(shifted, req.depart_s):
-                    with self._mutex:
-                        self.stats.cache_hits += 1
-                    registry.inc(f"{self.name}.hits")
-                    registry.observe(
-                        f"{self.name}.request_s", _time.perf_counter() - t_req
-                    )
-                    return PlanResponse(
-                        vehicle_id=req.vehicle_id,
-                        profile=shifted,
-                        energy_mah=energy_mah,
-                        trip_time_s=trip_time,
-                        cache_hit=True,
-                        compute_time_s=0.0,
-                        corridor_id=req.corridor_id,
-                    )
-                self.plan_cache.note_revalidation_miss()
-                with self._mutex:
-                    self.stats.revalidation_misses += 1
-                registry.inc(f"{self.name}.revalidation_misses")
-            # Lookup (and any revalidation miss) is now accounted; a
-            # deferred retry must not count it again.
-            it.solve_pending = True
-        solution = hand.pop(key, None)
-        if solution is None:
-            return _NEED_SOLVE
-        it.solve_pending = False
-        if isinstance(solution, InfeasibleProblemError):
-            return self._flow_error(req, solution, registry, t_req)
-        try:
-            self._screen(solution, req.depart_s)
-        except PlanRejectedError as exc:
-            return self._flow_error(req, exc, registry, t_req)
-        with self._mutex:
-            self.stats.cache_misses += 1
-        registry.inc(f"{self.name}.misses")
-        self.plan_cache.put(
-            key, (solution.profile, solution.energy_mah, solution.trip_time_s)
-        )
-        registry.observe(f"{self.name}.request_s", _time.perf_counter() - t_req)
-        return PlanResponse(
-            vehicle_id=req.vehicle_id,
-            profile=solution.profile,
-            energy_mah=solution.energy_mah,
-            trip_time_s=solution.trip_time_s,
-            cache_hit=False,
-            compute_time_s=solution.solve_time_s,
-            corridor_id=req.corridor_id,
-        )
-
-    def _flow_error(
-        self,
-        req: PlanRequest,
-        exc: Exception,
-        registry: obs.MetricsRegistry,
-        t_req: float,
-    ) -> PlanningFailedError:
-        """The error accounting and wrapping of :meth:`request`, as a value."""
-        with self._mutex:
-            self.stats.errors += 1
-        registry.inc(f"{self.name}.errors")
-        if isinstance(exc, PlanRejectedError):
-            registry.inc(f"{self.name}.guard_rejections")
-        registry.observe(f"{self.name}.request_s", _time.perf_counter() - t_req)
-        wrapped = PlanningFailedError(
-            f"no feasible plan for {req.vehicle_id!r} departing at "
-            f"{req.depart_s:.1f} s: {exc}",
-            vehicle_id=req.vehicle_id,
-            depart_s=req.depart_s,
-        )
-        wrapped.__cause__ = exc
-        return wrapped
 
     def _screen(self, solution, depart_s: float) -> None:
         """Audit a freshly solved plan before it is served or cached.

@@ -36,13 +36,7 @@ import numpy as np
 from repro import obs
 from repro.core.cost import WindowSet
 from repro.core.engine.artifacts import CorridorArtifacts, corridor_digest
-from repro.core.engine.stage_kernel import (
-    expand_stage,
-    expand_stage_batch,
-    first_per_group as _first_per_group,  # re-exported: pre-engine import path
-    select_labels,
-    select_labels_batch,
-)
+from repro.core.engine.stage_kernel import expand_stage, select_labels
 from repro.core.engine.store import ArtifactStore
 from repro.core.profile import VelocityProfile
 from repro.errors import ConfigurationError, InfeasibleProblemError
@@ -51,6 +45,10 @@ from repro.signal.queue import QueueWindow
 from repro.units import joules_to_mah
 from repro.vehicle.dynamics import LongitudinalModel
 from repro.vehicle.params import VehicleParams
+
+# servebench/tracing.py wraps these names here; both alias the one kernel pair.
+expand_stage_batch = expand_stage
+select_labels_batch = select_labels
 
 
 def _default_pack_voltage_v() -> float:
@@ -319,6 +317,52 @@ class DpSolver:
         """
         if minimize not in ("energy", "time"):
             raise ConfigurationError(f"unknown objective {minimize!r}")
+        return self._solve_in_span(
+            constraints, start_time_s, max_trip_time_s, minimize, start_state
+        )
+
+    def solve_batch(
+        self,
+        problems: Sequence[BatchProblem],
+        minimize: str = "energy",
+    ) -> List[Union[DpSolution, InfeasibleProblemError]]:
+        """Solve independent full-trip problems, one :meth:`solve` each.
+
+        Each slot holds what a :meth:`solve` with the same arguments
+        returns.  An infeasible problem does not poison its batch: its
+        slot holds the :class:`InfeasibleProblemError` that solve would
+        have raised (message included), while the other problems
+        complete.  Configuration errors (bad caps, off-grid constraint
+        positions) still raise for the whole call — they are caller
+        bugs, not data outcomes.
+        """
+        if minimize not in ("energy", "time"):
+            raise ConfigurationError(f"unknown objective {minimize!r}")
+        outcomes: List[Union[DpSolution, InfeasibleProblemError]] = []
+        for problem in problems:
+            try:
+                outcomes.append(
+                    self._solve_in_span(
+                        problem.constraints,
+                        problem.start_time_s,
+                        problem.max_trip_time_s,
+                        minimize,
+                        None,
+                    )
+                )
+            except InfeasibleProblemError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    def _solve_in_span(
+        self,
+        constraints: Sequence[TimeWindowConstraint],
+        start_time_s: float,
+        max_trip_time_s: Optional[float],
+        minimize: str,
+        start_state: Optional[Tuple[float, float]],
+    ) -> DpSolution:
+        """One DP solve inside its ``dp.solve`` span."""
         registry = obs.get_registry()
         with registry.span("dp.solve", objective=minimize) as span:
             try:
@@ -336,251 +380,6 @@ class DpSolver:
             span.add(expanded_transitions=solution.expanded_transitions)
             return solution
 
-    def solve_batch(
-        self,
-        problems: Sequence[BatchProblem],
-        minimize: str = "energy",
-    ) -> List[Union[DpSolution, InfeasibleProblemError]]:
-        """Solve ``B`` independent full-trip problems as one numpy program.
-
-        Every problem shares this solver's corridor artifacts; their label
-        sets are stacked along a leading problem axis and relaxed through
-        the batched stage kernels, so the per-stage interpreter overhead
-        is paid once per stage instead of once per stage *per problem* —
-        the fleet solves as one vectorized DP.
-
-        Per problem, the result is **bit-identical** to a serial
-        :meth:`solve` with the same arguments: within each problem the
-        candidate ordering, tie-breaking, pruning arithmetic and
-        backtracking reproduce the serial path exactly (see the batched
-        kernels in :mod:`repro.core.engine.stage_kernel`).
-
-        An infeasible problem does not poison its batch: its slot in the
-        returned list holds the same :class:`InfeasibleProblemError` a
-        serial solve would have raised (message included), while the
-        other problems complete.  Configuration errors (bad caps,
-        off-grid constraint positions) still raise for the whole call —
-        they are caller bugs, not data outcomes.
-
-        ``solve_time_s`` on each solution is the batch wall clock divided
-        evenly across the batch (amortized), since the problems shared
-        one program.  Mid-route replans (``start_state``) are not
-        batchable; serve those through :meth:`solve`.
-        """
-        if minimize not in ("energy", "time"):
-            raise ConfigurationError(f"unknown objective {minimize!r}")
-        n_problems = len(problems)
-        if n_problems == 0:
-            return []
-        registry = obs.get_registry()
-        with registry.span(
-            "dp.solve_batch", objective=minimize, problems=n_problems
-        ) as span:
-            t0 = _time.perf_counter()
-            outcomes = self._solve_batch(problems, minimize)
-            wall = _time.perf_counter() - t0
-            share = wall / n_problems
-            for outcome in outcomes:
-                if isinstance(outcome, DpSolution):
-                    outcome.solve_time_s = share
-            span.add(
-                infeasible=sum(
-                    1 for o in outcomes if isinstance(o, InfeasibleProblemError)
-                )
-            )
-            return outcomes
-
-    def _solve_batch(
-        self,
-        problems: Sequence[BatchProblem],
-        minimize: str,
-    ) -> List[Union[DpSolution, InfeasibleProblemError]]:
-        """The batched DP proper; state layout mirrors ``_solve`` exactly."""
-        n_problems = len(problems)
-        n_bins = int(np.floor(self.horizon_s / self.t_bin_s)) + 1
-        n_pts = self.positions.size
-        start_times = np.asarray([p.start_time_s for p in problems])
-        trip_caps = np.empty(n_problems)
-        constraint_maps: List[Dict[int, TimeWindowConstraint]] = []
-        for b, problem in enumerate(problems):
-            cap = (
-                problem.max_trip_time_s
-                if problem.max_trip_time_s is not None
-                else self.horizon_s
-            )
-            if cap <= 0:
-                raise ConfigurationError(f"trip-time cap must be positive, got {cap}")
-            trip_caps[b] = min(cap, self.horizon_s)
-            constraint_at: Dict[int, TimeWindowConstraint] = {}
-            for constraint in problem.constraints:
-                idx = int(np.argmin(np.abs(self.positions - constraint.position_m)))
-                if abs(self.positions[idx] - constraint.position_m) > self.s_step_m:
-                    raise ConfigurationError(
-                        f"constraint position {constraint.position_m} m is not on the grid"
-                    )
-                constraint_at[idx] = constraint
-            constraint_maps.append(constraint_at)
-        # Constraints regrouped by route point so the stage loop touches
-        # only the (point, problem) pairs that actually have one.
-        constraints_at_point: Dict[int, List[Tuple[int, TimeWindowConstraint]]] = {}
-        for b, constraint_at in enumerate(constraint_maps):
-            for idx, constraint in constraint_at.items():
-                constraints_at_point.setdefault(idx, []).append((b, constraint))
-
-        # Concatenated label state across problems, blocked by problem id
-        # (``lab_b`` stays non-decreasing through every stage).  The seed
-        # is one (v=0, departure) label per problem, as in ``_solve``.
-        caps_eps = trip_caps + 1e-9  # the serial path's `cap + 1e-9`, per problem
-        lab_v = np.zeros(n_problems, dtype=np.int16)
-        lab_t = start_times.copy()
-        lab_c = np.zeros(n_problems)
-        lab_b = np.arange(n_problems, dtype=np.int64)
-        prev_of: List[np.ndarray] = []
-        v_of: List[np.ndarray] = [lab_v]
-        expanded = np.zeros(n_problems, dtype=np.int64)
-        failures: List[Optional[InfeasibleProblemError]] = [None] * n_problems
-
-        def fail(b: int, message: str) -> None:
-            if failures[b] is None:
-                failures[b] = InfeasibleProblemError(message)
-
-        for i in range(n_pts - 1):
-            entry_counts = np.bincount(lab_b, minlength=n_problems)
-            j_arr, j2_arr, e_arr, dt_arr = self._segment_pairs(i)
-            if j_arr.size == 0:
-                for b in range(n_problems):
-                    if entry_counts[b]:
-                        fail(
-                            b,
-                            f"no feasible transition over segment {i} "
-                            f"({self.positions[i]:.0f}-{self.positions[i + 1]:.0f} m)",
-                        )
-                lab_b = lab_b[:0]
-                break
-            src, cj2, cc, ct, cb = expand_stage_batch(
-                lab_v, lab_t, lab_c, lab_b, j_arr, j2_arr, e_arr, dt_arr,
-                self.v_grid.size,
-            )
-            cand_counts = np.bincount(cb, minlength=n_problems)
-            for b in np.flatnonzero((entry_counts > 0) & (cand_counts == 0)):
-                fail(
-                    int(b),
-                    f"all labels stranded entering segment {i} "
-                    f"({self.positions[i]:.0f}-{self.positions[i + 1]:.0f} m)",
-                )
-            expanded += cand_counts
-
-            keep = ct - start_times[cb] + self._min_time_to_go[i + 1] <= caps_eps[cb]
-            for b, target in constraints_at_point.get(i + 1, ()):
-                if cand_counts[b] == 0:
-                    continue
-                lo, hi = np.searchsorted(cb, [b, b + 1])
-                ok = target.windows.contains(ct[lo:hi])
-                if target.mode == "hard":
-                    keep[lo:hi] &= ok
-                else:
-                    cc[lo:hi] = np.where(ok, cc[lo:hi], cc[lo:hi] + target.penalty_j)
-            kept_idx = np.flatnonzero(keep)
-            if kept_idx.size < keep.size:
-                src, cj2, cc, ct, cb = (
-                    src[kept_idx], cj2[kept_idx], cc[kept_idx],
-                    ct[kept_idx], cb[kept_idx],
-                )
-                kept_counts = np.bincount(cb, minlength=n_problems)
-            else:
-                kept_counts = cand_counts
-            for b in np.flatnonzero((cand_counts > 0) & (kept_counts == 0)):
-                fail(
-                    int(b),
-                    f"no label survives into {self.positions[i + 1]:.0f} m; "
-                    "windows or horizon are too tight",
-                )
-            if cb.size == 0:
-                lab_b = cb
-                break
-
-            sel = select_labels_batch(
-                cb, cj2, cc, ct, start_times, self.t_bin_s, n_bins,
-                self.v_grid.size,
-            )
-            prev_of.append(src[sel])
-            lab_v = cj2[sel].astype(np.int16)
-            lab_t = ct[sel]
-            lab_c = cc[sel]
-            lab_b = cb[sel]
-            v_of.append(lab_v)
-
-        outcomes: List[Union[DpSolution, InfeasibleProblemError]] = []
-        complete = len(v_of) == n_pts
-        for b in range(n_problems):
-            if failures[b] is not None:
-                outcomes.append(failures[b])
-                continue
-            if not complete:
-                # The batch aborted before this problem's labels died on
-                # record — only possible when every problem failed, so a
-                # failure must exist; guard anyway.
-                outcomes.append(
-                    InfeasibleProblemError(
-                        "no feasible profile: horizon, windows or limits are too tight"
-                    )
-                )
-                continue
-            lo, hi = np.searchsorted(lab_b, [b, b + 1])
-            at_rest = lab_v[lo:hi] == 0
-            in_cap = lab_t[lo:hi] - start_times[b] <= trip_caps[b] + 1e-9
-            ok_final = at_rest & in_cap
-            if not ok_final.any():
-                outcomes.append(
-                    InfeasibleProblemError(
-                        "no feasible profile: horizon, windows or limits are too tight"
-                    )
-                )
-                continue
-            candidates = np.flatnonzero(ok_final)
-            objective = lab_c[lo:hi] if minimize == "energy" else lab_t[lo:hi]
-            best = int(lo) + int(candidates[int(np.argmin(objective[candidates]))])
-            best_cost = float(lab_c[best])
-            trip_time = float(lab_t[best] - start_times[b])
-
-            speeds = np.empty(n_pts)
-            label = best
-            speeds[-1] = self.v_grid[int(v_of[-1][label])]
-            for stage in range(len(prev_of) - 1, -1, -1):
-                label = int(prev_of[stage][label])
-                speeds[stage] = self.v_grid[int(v_of[stage][label])]
-            if label != b:
-                outcomes.append(
-                    InfeasibleProblemError(
-                        "backtrack did not terminate at the seed state"
-                    )
-                )
-                continue
-            profile = VelocityProfile(
-                positions_m=self.positions,
-                speeds_ms=speeds,
-                dwell_s=self._dwell_at,
-                start_time_s=float(start_times[b]),
-            )
-            arrivals: Dict[float, float] = {}
-            hits: Dict[float, bool] = {}
-            for idx, constraint in constraint_maps[b].items():
-                t_arr = float(profile.arrival_times_s[idx])
-                arrivals[constraint.position_m] = t_arr
-                hits[constraint.position_m] = t_arr in constraint.windows
-            outcomes.append(
-                DpSolution(
-                    profile=profile,
-                    energy_j=best_cost,
-                    trip_time_s=trip_time,
-                    signal_arrivals=arrivals,
-                    windows_hit=hits,
-                    expanded_transitions=int(expanded[b]),
-                    pack_voltage_v=self.vehicle.battery.voltage_v,
-                )
-            )
-        return outcomes
-
     def _solve(
         self,
         registry: obs.MetricsRegistry,
@@ -590,7 +389,7 @@ class DpSolver:
         minimize: str,
         start_state: Optional[Tuple[float, float]],
     ) -> DpSolution:
-        """The DP proper; ``solve`` wraps it in the ``dp.solve`` span."""
+        """The DP proper; ``_solve_in_span`` wraps it in the ``dp.solve`` span."""
         t0 = _time.perf_counter()
         with registry.span("setup"):
             trip_cap = max_trip_time_s if max_trip_time_s is not None else self.horizon_s

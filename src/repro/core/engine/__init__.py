@@ -22,7 +22,7 @@ Public surface:
 """
 
 from repro.core.engine.artifacts import CorridorArtifacts, corridor_digest
-from repro.core.engine.stage_kernel import expand_stage, first_per_group, select_labels
+from repro.core.engine.stage_kernel import expand_stage, select_labels
 from repro.core.engine.store import ArtifactStore, StoreStats
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "StoreStats",
     "corridor_digest",
     "expand_stage",
-    "first_per_group",
     "select_labels",
 ]

@@ -14,16 +14,6 @@ to one cheapest and one earliest survivor per ``(velocity, time-bin)``
 slot.  The refactor is behavior-preserving: the operations and their
 order are exactly those of the pre-split solver, so solutions are
 bit-identical.
-
-Batched variants (:func:`expand_stage_batch` / :func:`select_labels_batch`)
-stack the label sets of ``B`` independent DP problems sharing one
-corridor's transition arrays along a leading problem axis, so a fleet of
-concurrent requests over the same ``corridor_digest`` solves as **one
-numpy program** per stage instead of ``B`` interpreted loops.  Problem
-identity travels with each label (``lab_b``); group keys in selection are
-made disjoint across problems, and within every problem the candidate
-ordering reproduces the serial kernels exactly — which is what keeps
-batched solving bit-identical, per problem, to serial solving.
 """
 
 from __future__ import annotations
@@ -32,13 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = [
-    "expand_stage",
-    "expand_stage_batch",
-    "first_per_group",
-    "select_labels",
-    "select_labels_batch",
-]
+__all__ = ["expand_stage", "select_labels"]
 
 
 def expand_stage(
@@ -73,10 +57,9 @@ def expand_stage(
         feasible continuation (the caller decides how to fail).
 
     Candidates are ordered by source velocity (stable over label order),
-    then by that velocity's transitions in CSR order — the same ragged
-    gather as :func:`expand_stage_batch`, which replaced a per-velocity
-    Python loop of ``repeat``/``tile`` chunks that dominated warm
-    mid-route replans.  The candidate ordering (and every value) is
+    then by that velocity's transitions in CSR order.  This ragged gather
+    replaced a per-velocity Python loop of ``repeat``/``tile`` chunks
+    that dominated warm mid-route replans.  The candidate ordering (and every value) is
     bit-identical to the chunked implementation it replaced.
     """
     trans_count = np.bincount(j_arr, minlength=n_levels)
@@ -121,111 +104,13 @@ def select_labels(
     return _cheapest_and_fastest_per_group(tgt, cc, ct)
 
 
-def expand_stage_batch(
-    lab_v: np.ndarray,
-    lab_t: np.ndarray,
-    lab_c: np.ndarray,
-    lab_b: np.ndarray,
-    j_arr: np.ndarray,
-    j2_arr: np.ndarray,
-    e_arr: np.ndarray,
-    dt_arr: np.ndarray,
-    n_levels: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Expand ``B`` problems' labels through one shared transition set.
-
-    Args:
-        lab_v: Velocity index of every surviving label, all problems
-            concatenated.
-        lab_t: Exact arrival time of each label (s).
-        lab_c: Exact cost-to-come of each label (J).
-        lab_b: Problem id of each label (non-decreasing).
-        j_arr: Source velocity index of each feasible transition, sorted
-            ascending (the row-major :func:`numpy.nonzero` order the
-            corridor artifacts produce).
-        j2_arr: Successor velocity index of each feasible transition.
-        e_arr: Energy of each feasible transition (J).
-        dt_arr: Traversal time of each feasible transition (s).
-        n_levels: Size of the velocity grid.
-
-    Returns:
-        ``(src, cj2, cc, ct, cb)``: per candidate, the index of its source
-        label, its successor velocity index, its cost-to-come, its arrival
-        time and its problem id.  Candidates are blocked by problem, and
-        within each problem they appear in exactly the order
-        :func:`expand_stage` would have produced for that problem alone —
-        stable-sorted by source velocity, then label order, then
-        transition order — so downstream tie-breaking matches the serial
-        kernel bit for bit.
-    """
-    trans_count = np.bincount(j_arr, minlength=n_levels)
-    trans_start = np.concatenate([[0], np.cumsum(trans_count)])
-    # Stable sort by (problem, velocity): within one problem this is the
-    # serial kernel's stable argsort by velocity.
-    order = np.argsort(lab_b.astype(np.int64) * n_levels + lab_v, kind="stable")
-    v_sorted = lab_v[order]
-    counts_per_label = trans_count[v_sorted]
-    total = int(counts_per_label.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0), np.empty(0), empty.copy()
-    src = np.repeat(order, counts_per_label)
-    # Ragged gather: candidate k of a label maps to the k-th transition of
-    # that label's velocity in the CSR-ordered pair arrays.
-    block_starts = np.concatenate([[0], np.cumsum(counts_per_label)[:-1]])
-    t_idx = np.arange(total, dtype=np.int64)
-    t_idx += np.repeat(trans_start[v_sorted] - block_starts, counts_per_label)
-    cj2 = j2_arr[t_idx].astype(np.int64, copy=False)
-    cc = e_arr[t_idx] + lab_c[src]
-    ct = dt_arr[t_idx] + lab_t[src]
-    cb = lab_b[src]
-    return src, cj2, cc, ct, cb
-
-
-def select_labels_batch(
-    cb: np.ndarray,
-    cj2: np.ndarray,
-    cc: np.ndarray,
-    ct: np.ndarray,
-    start_times: np.ndarray,
-    t_bin_s: float,
-    n_bins: int,
-    n_levels: int,
-) -> np.ndarray:
-    """Batched per-``(problem, velocity, bin)`` survivor selection.
-
-    The group key prepends each candidate's problem id, so problems never
-    share a slot; each problem's time bins are measured from *its own*
-    start time.  Within a problem the surviving index set — and its
-    sorted order — equals what :func:`select_labels` returns for that
-    problem alone.
-
-    The key space is compacted to the stage's occupied bin range (a
-    bijective remap of the serial ``v * n_bins + k2`` key, so the
-    partition is unchanged) to keep the selection's dense scatter tables
-    small and cache-resident.  The one case where the serial key is *not*
-    injective — a horizon-edge rounding that lands ``k2 == n_bins`` and
-    merges into the next velocity's bin 0 — falls back to the exact
-    serial key layout so even that merge is reproduced per problem.
-    """
-    k2 = np.round((ct - start_times[cb]) / t_bin_s).astype(np.int64)
-    k2_min = int(k2.min())
-    k2_max = int(k2.max())
-    if k2_max >= n_bins:
-        tgt = cb * (n_levels * n_bins + n_bins + 1) + cj2 * n_bins + k2
-    else:
-        span = k2_max - k2_min + 1
-        tgt = (cb * n_levels + cj2) * span + (k2 - k2_min)
-    return _cheapest_and_fastest_per_group(tgt, cc, ct)
-
-
 def _cheapest_and_fastest_per_group(
     tgt: np.ndarray, cc: np.ndarray, ct: np.ndarray
 ) -> np.ndarray:
     """Per group: the index minimizing ``(cc, ct, index)`` and ``(ct, cc, index)``.
 
-    Equivalent to two ``lexsort`` + :func:`first_per_group` passes over
-    the candidates, but sort-free: the group keys are small dense
+    Equivalent to two ``lexsort`` passes over the candidates, each keeping
+    the first element of every group's run, but sort-free: the group keys are small dense
     integers, so each winner is found by three O(n) scatter-min sweeps
     (:func:`numpy.minimum.at` into a dense table) — min primary, then min
     secondary among primary ties, then min index among remaining ties.
@@ -263,15 +148,3 @@ def _cheapest_and_fastest_per_group(
     # distinct; the union is cheap plus the differing fast winners.
     return np.sort(np.concatenate([cheap, fast[fast != cheap]]))
 
-
-def first_per_group(groups: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Indices of the first element of each group under a given sort order.
-
-    ``order`` must sort ``groups`` into contiguous runs (e.g. a lexsort
-    whose primary key is ``groups``); the first element of each run is the
-    winner under the secondary sort keys.
-    """
-    sorted_groups = groups[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = sorted_groups[1:] != sorted_groups[:-1]
-    return order[first]

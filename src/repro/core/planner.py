@@ -161,7 +161,7 @@ class DpPlannerBase:
         specs: Sequence[Tuple[float, Optional[float]]],
         minimize: str = "energy",
     ) -> List[Union[DpSolution, InfeasibleProblemError]]:
-        """Solve many full-trip plans as one batched DP program.
+        """Solve many full-trip plans, one serial DP solve each.
 
         Args:
             specs: ``(start_time_s, max_trip_time_s)`` per plan;
@@ -169,11 +169,9 @@ class DpPlannerBase:
             minimize: Shared objective for the whole batch.
 
         Returns:
-            One entry per spec, in order: the :class:`DpSolution` —
-            bit-identical to a serial :meth:`plan` with the same
-            arguments — or the :class:`InfeasibleProblemError` a serial
-            solve would have raised.  Mid-route replans are not
-            batchable; serve those through :meth:`replan`.
+            One entry per spec, in order: the :class:`DpSolution` a
+            :meth:`plan` with the same arguments returns, or the
+            :class:`InfeasibleProblemError` it would have raised.
         """
         problems = [
             BatchProblem(
@@ -222,30 +220,19 @@ class DpPlannerBase:
     def min_trip_time_batch(
         self, departures: Sequence[float]
     ) -> List[Union[float, InfeasibleProblemError]]:
-        """Batched :meth:`min_trip_time`: one vectorized DP for many departures.
+        """:meth:`min_trip_time` per departure, failures kept in their slots.
 
-        Per departure the call sequence (capped solve, uncapped fallback
-        on infeasibility) matches :meth:`min_trip_time` exactly, so each
-        returned duration is bit-identical to the serial call.  A
-        departure that is infeasible even at the full horizon yields the
-        :class:`InfeasibleProblemError` the serial call would have
-        raised, without poisoning the rest of the batch.
+        A departure that is infeasible even at the full horizon yields
+        the :class:`InfeasibleProblemError` :meth:`min_trip_time` would
+        have raised, without poisoning the rest of the batch.
         """
-        cap = self._min_time_cap()
-        sols = self.plan_batch([(d, cap) for d in departures], minimize="time")
-        retry = [
-            i for i, sol in enumerate(sols) if isinstance(sol, InfeasibleProblemError)
-        ]
-        if retry:
-            again = self.plan_batch(
-                [(departures[i], None) for i in retry], minimize="time"
-            )
-            for i, sol in zip(retry, again):
-                sols[i] = sol
-        return [
-            sol if isinstance(sol, InfeasibleProblemError) else sol.trip_time_s
-            for sol in sols
-        ]
+        outcomes: List[Union[float, InfeasibleProblemError]] = []
+        for depart in departures:
+            try:
+                outcomes.append(self.min_trip_time(depart))
+            except InfeasibleProblemError as exc:
+                outcomes.append(exc)
+        return outcomes
 
     def _constraint_from_windows(
         self, site: SignalSite, windows: WindowSet

@@ -26,7 +26,7 @@ without touching the DP machinery:
 3. :class:`ChanceConstrainedPlanner` — the queue-aware planner with the
    margin applied on top of the config's quantization margin, via the
    exact same :meth:`~repro.core.cost.WindowSet.shrunk` path every
-   planner already uses.  Stage kernels, batched solving and artifact
+   planner already uses.  Stage kernels, the solver and artifact
    digests are untouched: the uncertainty lives entirely in the
    constraint windows.
 """

@@ -148,6 +148,55 @@ class TestFailureAccounting:
         assert fresh_service.stats.total_compute_s > 0.0
 
 
+
+class TestRequestBatchOrder:
+    def test_batch_leaves_the_plan_cache_in_serial_lru_order(self, us25, coarse_config):
+        """A revalidation miss behind a warm entry, under capacity pressure.
+
+        ``b`` shares ``a``'s phase bin but drifts past the window margin,
+        so its hit fails revalidation and it solves afresh.  With room for
+        two plans, ``d`` then finds ``a``'s key evicted.  A batch must
+        leave the same recency order, evictions, responses and counters
+        as the serial loop.
+        """
+        planner = QueueAwareDpPlanner(us25, arrival_rates=RATE, config=coarse_config)
+        requests = [
+            PlanRequest("a", depart_s=100.0, max_trip_time_s=320.0),
+            PlanRequest("b", depart_s=169.5, max_trip_time_s=320.0),
+            PlanRequest("c", depart_s=125.0, max_trip_time_s=320.0),
+            PlanRequest("d", depart_s=135.0, max_trip_time_s=320.0),
+            PlanRequest("e", depart_s=220.0, max_trip_time_s=320.0),
+        ]
+
+        def fresh():
+            return CloudPlannerService(planner, phase_quantum_s=10.0, cache_capacity=2)
+
+        serial_service = fresh()
+        serial = [serial_service.request(req) for req in requests]
+        batch_service = fresh()
+        batch = batch_service.request_batch(requests)
+
+        assert serial_service.stats.revalidation_misses == 1
+        assert batch_service.plan_cache.keys() == serial_service.plan_cache.keys()
+        for got, want in zip(batch, serial):
+            assert got.vehicle_id == want.vehicle_id
+            assert got.cache_hit == want.cache_hit
+            assert got.energy_mah == want.energy_mah
+            assert got.trip_time_s == want.trip_time_s
+            assert np.array_equal(got.profile.speeds_ms, want.profile.speeds_ms)
+            assert np.array_equal(
+                got.profile.arrival_times_s, want.profile.arrival_times_s
+            )
+        got_stats = batch_service.stats_snapshot()
+        want_stats = serial_service.stats_snapshot()
+        for field in ("requests", "cache_hits", "cache_misses", "errors",
+                      "revalidation_misses"):
+            assert getattr(got_stats, field) == getattr(want_stats, field)
+        for got_cache, want_cache in zip(
+            batch_service.cache_stats(), serial_service.cache_stats()
+        ):
+            assert got_cache == want_cache
+
 class TestRevalidation:
     def test_phase_bin_edge_hit_lands_inside_windows(self, fresh_service, us25):
         """A request at the far edge of a phase bin must be served a plan

@@ -256,6 +256,8 @@ class TestDeadlines:
     def test_invalid_deadline_and_workers_rejected(self, fresh_service):
         with pytest.raises(ConfigurationError):
             PlanDispatcher(fresh_service, workers=0)
+        with pytest.raises(ConfigurationError):
+            PlanDispatcher(fresh_service, workers=2, backend="fiber")
         with PlanDispatcher(fresh_service, workers=1) as dispatcher:
             with pytest.raises(ConfigurationError):
                 dispatcher.submit(PlanRequest("a", depart_s=1.0), deadline_s=0.0)
@@ -356,56 +358,6 @@ def _assert_same_outcomes(got, want):
         assert np.array_equal(g.profile.speeds_ms, w.profile.speeds_ms)
 
 
-class TestMicroBatching:
-    def test_batched_dispatch_is_bit_identical_to_serial(self, us25, coarse_config):
-        """Budget-less fleet requests through the batcher == a serial loop."""
-        departs = [100.0, 111.0, 123.0, 160.0, 171.0, 280.0]  # phase repeats
-        requests = [
-            PlanRequest(f"ev{i}", depart_s=d) for i, d in enumerate(departs)
-        ]
-        serial = _serve_serially(_build_service(us25, coarse_config), requests)
-
-        batched_service = _build_service(us25, coarse_config)
-        with PlanDispatcher(
-            batched_service, workers=2, batch_window_s=0.05
-        ) as dispatcher:
-            outcomes = dispatcher.submit_many(requests, return_exceptions=True)
-        _assert_same_outcomes(outcomes, serial)
-        stats = dispatcher.stats()
-        assert stats.batched == len(requests)
-        assert stats.batches >= 1
-        assert stats.completed == len(requests)
-        assert stats.in_flight == 0
-        # A first-of-key request counts as a leader, later same-key arrivals
-        # served from the warm cache count as coalesced — like thread mode.
-        assert stats.leaders + stats.coalesced == len(requests)
-        assert stats.coalesced == sum(1 for o in outcomes if o.cache_hit)
-        # Service-side economics match the serial story exactly.
-        assert batched_service.stats.cache_hits > 0
-
-    def test_keyless_requests_bypass_the_batcher(self):
-        stub = StubService(key=None)
-        with PlanDispatcher(stub, workers=2, batch_window_s=0.05) as dispatcher:
-            outcomes = dispatcher.submit_many(
-                [PlanRequest(f"v{i}", depart_s=10.0) for i in range(3)]
-            )
-        assert len(outcomes) == 3
-        stats = dispatcher.stats()
-        assert stats.batched == 0  # uncacheable work never waits for a window
-        assert stats.batches == 0
-        assert stats.completed == 3
-
-    def test_micro_batching_rejects_the_process_backend(self, fresh_service):
-        with pytest.raises(ConfigurationError):
-            PlanDispatcher(
-                fresh_service, workers=2, backend="process", batch_window_s=0.05
-            )
-        with pytest.raises(ConfigurationError):
-            PlanDispatcher(fresh_service, workers=2, batch_window_s=0.0)
-        with pytest.raises(ConfigurationError):
-            PlanDispatcher(fresh_service, workers=2, backend="fiber")
-
-
 class TestProcessBackend:
     def test_same_key_stress_is_bit_identical_to_serial(self, us25, coarse_config):
         """Many same-key requests against worker processes.
@@ -431,3 +383,20 @@ class TestProcessBackend:
         assert stats.coalesced == n - 1  # one cold solve in the shard's worker
         assert stats.errors == 0
         assert stats.in_flight == 0
+
+    def test_completed_never_lags_a_response_the_caller_holds(
+        self, us25, coarse_config
+    ):
+        """A process-backend outcome is counted before its future resolves."""
+        n = 20
+        with PlanDispatcher(
+            _build_service(us25, coarse_config), workers=2, backend="process"
+        ) as dispatcher:
+            for i in range(n):
+                req = PlanRequest(
+                    f"ev{i}", depart_s=100.0 + 60.0 * i, max_trip_time_s=320.0
+                )
+                response = dispatcher.request(req)
+                assert response.vehicle_id == f"ev{i}"
+                # No sleep, no poll: the count is already there.
+                assert dispatcher.stats().completed == i + 1

@@ -3,32 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.dp import DpSolver, _first_per_group
+from repro.core.dp import DpSolver
 from repro.errors import ConfigurationError
-
-
-class TestFirstPerGroup:
-    def test_picks_first_under_order(self):
-        groups = np.asarray([2, 1, 2, 1, 3])
-        costs = np.asarray([5.0, 3.0, 1.0, 9.0, 7.0])
-        order = np.lexsort((costs, groups))
-        winners = _first_per_group(groups, order)
-        # Winner of group 1 is index 1 (cost 3), group 2 is index 2
-        # (cost 1), group 3 is index 4.
-        assert set(winners) == {1, 2, 4}
-
-    def test_single_group(self):
-        groups = np.zeros(4, dtype=int)
-        costs = np.asarray([4.0, 2.0, 8.0, 6.0])
-        order = np.lexsort((costs, groups))
-        winners = _first_per_group(groups, order)
-        assert list(winners) == [1]
-
-    def test_all_distinct(self):
-        groups = np.asarray([5, 3, 9])
-        order = np.argsort(groups)
-        winners = _first_per_group(groups, order)
-        assert set(winners) == {0, 1, 2}
 
 
 class TestMinTimeToGo:

@@ -25,7 +25,6 @@ from repro.core.engine import (
     CorridorArtifacts,
     corridor_digest,
     expand_stage,
-    first_per_group,
     select_labels,
 )
 from repro.core.planner import (
@@ -297,12 +296,6 @@ class TestStageKernels:
         sel = select_labels(cj2, cc, ct, 0.0, 1.0, n_bins)
         ref = _reference_select(cj2, cc, ct, 0.0, 1.0, n_bins)
         assert np.array_equal(np.sort(sel), ref)
-
-    def test_first_per_group(self):
-        groups = np.asarray([2, 0, 2, 1, 0, 2])
-        order = np.argsort(groups, kind="stable")
-        sel = first_per_group(groups, order)
-        assert np.array_equal(np.sort(sel), [0, 1, 3])
 
     def test_empty_expand(self):
         src, cj2, cc, ct = expand_stage(

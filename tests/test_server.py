@@ -4,6 +4,7 @@ import json
 import socket
 import struct
 import threading
+from concurrent.futures import Future
 
 import pytest
 
@@ -148,6 +149,54 @@ class TestServing:
                     assert resp.vehicle_id == f"ev{i}"
                     # No sleep, no poll: the count is already there.
                     assert handle.stats_snapshot().served == i + 1
+
+    def test_stats_snapshot_never_tears_across_a_loop_callback(self):
+        """Two counters bumped in one loop callback are read together."""
+        service = StubPlannerService()
+        with serve_in_background(service) as handle:
+            stats = handle.server.stats
+            halfway, release = threading.Event(), threading.Event()
+
+            def bump_two_counters():
+                stats.frames += 1
+                halfway.set()
+                assert release.wait(10.0)
+                stats.plan_requests += 1
+
+            handle._loop.call_soon_threadsafe(bump_two_counters)
+            assert halfway.wait(10.0)
+            snaps = []
+            reader = threading.Thread(
+                target=lambda: snaps.append(handle.stats_snapshot())
+            )
+            reader.start()
+            reader.join(timeout=0.2)  # an off-loop copy would be back by now
+            release.set()
+            reader.join(timeout=10.0)
+            (snap,) = snaps
+            assert (snap.frames, snap.plan_requests) == (1, 1)
+
+    def test_stats_snapshot_copies_on_the_loop_thread_without_deadlock(self):
+        service = StubPlannerService()
+        handle = serve_in_background(service)
+        copied_on = []
+        server_copy = handle.server.stats_snapshot
+
+        def recording_copy():
+            copied_on.append(threading.current_thread())
+            return server_copy()
+
+        handle.server.stats_snapshot = recording_copy
+        handle.stats_snapshot()
+        assert copied_on == [handle._thread]
+        # Called on the loop thread itself, it copies in place.
+        from_loop = Future()
+        handle._loop.call_soon_threadsafe(
+            lambda: from_loop.set_result(handle.stats_snapshot())
+        )
+        assert from_loop.result(timeout=10.0).served == 0
+        handle.drain()
+        assert handle.stats_snapshot().served == 0  # after the drain, too
 
     def test_health_and_stats_kinds(self):
         service = StubPlannerService()
