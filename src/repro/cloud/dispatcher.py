@@ -6,22 +6,26 @@ requests are served concurrently, and adds **single-flight request
 coalescing**: concurrent requests that quantize to the same service
 cache key (:meth:`CloudPlannerService.coalesce_key`) run exactly one
 planner solve — the first submission becomes the *leader*, everyone else
-a *follower* that waits for the leader to finish and is then answered
-from the warm plan cache (a cheap shift + revalidate, no DP).
+a *follower* that is then answered from the warm plan cache (a cheap
+shift + revalidate, no DP).
 
-Leadership is decided synchronously **at submission time**, in the
-caller's thread, not at task-execution time.  That makes the leader
-deterministic — the first request submitted for a key solves, exactly as
-it would in a serial loop — which is what keeps dispatcher-threaded
-serving bit-identical to serial serving (and testable as such).
+Same-key requests are **chained** in submission order: each waits for
+its predecessor's service call to finish before making its own.  The
+order is decided synchronously **at submission time**, in the caller's
+thread, not at task-execution time.  So every key is served exactly as
+a serial loop would serve it — the first request solves, and a follower
+whose hit fails revalidation re-solves before the next one reads the
+cache — which keeps dispatcher-threaded serving bit-identical to serial
+serving (and testable as such).
 
 Deadlines are wall-clock budgets from submission: a request still queued
-behind a saturated pool, or still waiting on another request's in-flight
-solve, when its deadline lapses fails fast with the typed
+behind a saturated pool, or still waiting on its predecessor, when its
+deadline lapses fails fast with the typed
 :class:`~repro.errors.DispatchDeadlineError` instead of hanging.  A
-leader that has already started solving runs to completion (the DP is
+request that has already started solving runs to completion (the DP is
 not interruptible); its own deadline is only checked before the solve
-starts.
+starts.  Every request releases its successor when it ends, however it
+ends.
 
 If a leader's solve fails, its followers are *not* failed with it: each
 falls back to its own ``service.request`` call, preserving the serial
@@ -57,10 +61,9 @@ class DispatcherStats:
         submitted: Requests accepted by :meth:`PlanDispatcher.submit`.
         completed: Requests that produced a response.
         errors: Requests that raised (planning failures included).
-        leaders: Requests that ran their own service call with a
-            coalescing key registered (first in flight for their key).
-        coalesced: Requests served as followers of another request's
-            in-flight solve.
+        leaders: Requests with a coalescing key and no predecessor
+            (first in flight for their key).
+        coalesced: Followers answered by a plan-cache hit.
         deadline_exceeded: Requests failed on an expired deadline.
         workers: The pool size.
     """
@@ -88,7 +91,7 @@ class DispatcherStats:
 
 
 class _Flight:
-    """One in-flight solve: followers wait on ``done``."""
+    """One in-flight request of a key: its successor waits on ``done``."""
 
     __slots__ = ("done",)
 
@@ -179,23 +182,20 @@ class PlanDispatcher:
                 self._submitted += 1
             registry.inc(f"{self.name}.submitted")
             return self._proc.submit(req, key, deadline_s, submitted_at)
-        leader = False
         flight: Optional[_Flight] = None
-        if key is not None:
-            # Leadership is claimed here, synchronously, so the first
-            # submission for a key is the one that solves — matching the
-            # order a serial loop would have run.
-            with self._lock:
-                flight = self._flights.get(key)
-                if flight is None:
-                    flight = _Flight()
-                    self._flights[key] = flight
-                    leader = True
+        predecessor: Optional[_Flight] = None
         with self._lock:
+            if key is not None:
+                # The chain is extended here, synchronously, so same-key
+                # requests run in submission order — the order a serial
+                # loop would have run them in.
+                flight = _Flight()
+                predecessor = self._flights.get(key)
+                self._flights[key] = flight
             self._submitted += 1
         registry.inc(f"{self.name}.submitted")
         return self._pool.submit(
-            self._run, req, key, flight, leader, deadline_s, submitted_at
+            self._run, req, key, flight, predecessor, deadline_s, submitted_at
         )
 
     def submit_many(
@@ -298,30 +298,26 @@ class PlanDispatcher:
         req: PlanRequest,
         key: Optional[Hashable],
         flight: Optional[_Flight],
-        leader: bool,
+        predecessor: Optional[_Flight],
         deadline_s: Optional[float],
         submitted_at: float,
     ) -> PlanResponse:
         registry = obs.get_registry()
-        # The whole worker body runs under the flight-cleanup finally: a
-        # leader that dies *anywhere* — including on a deadline that
-        # expired while it was still queued — must pop its flight and
-        # release its followers, or a follower with no deadline of its
-        # own waits forever.
+        # The whole worker body runs under the chain-release finally: a
+        # request that dies *anywhere* — including on a deadline that
+        # expired while it was still queued — must release its successor,
+        # or a successor with no deadline of its own waits forever.
         try:
-            self._check_deadline(req, deadline_s, submitted_at, "while queued")
-            if key is not None and not leader:
-                # Follower: wait for the leader's solve, then serve from
-                # the warm cache with an ordinary (cheap) service call.
-                remaining = self._check_deadline(
-                    req, deadline_s, submitted_at, "while queued"
-                )
+            remaining = self._check_deadline(req, deadline_s, submitted_at, "while queued")
+            if predecessor is not None:
+                # Follower: wait for the previous same-key request, then
+                # serve from the cache it left with an ordinary service call.
                 timeout = None if remaining == float("inf") else remaining
-                if not flight.done.wait(timeout=timeout):
+                if not predecessor.done.wait(timeout=timeout):
                     self._check_deadline(
                         req, deadline_s, submitted_at, "waiting on a coalesced solve"
                     )
-            elif leader:
+            elif key is not None:
                 with self._lock:
                     self._leaders += 1
                 registry.inc(f"{self.name}.leaders")
@@ -337,7 +333,7 @@ class PlanDispatcher:
             # rejected on revalidation) the serve above fell back to a
             # full solve of its own — counting that as coalesced would
             # overstate the dispatcher's savings.
-            if key is not None and not leader and response.cache_hit:
+            if predecessor is not None and response.cache_hit:
                 with self._lock:
                     self._coalesced += 1
                 registry.inc(f"{self.name}.coalesced")
@@ -346,9 +342,10 @@ class PlanDispatcher:
             registry.inc(f"{self.name}.completed")
             return response
         finally:
-            if leader:
+            if flight is not None:
                 with self._lock:
-                    self._flights.pop(key, None)
+                    if self._flights.get(key) is flight:
+                        del self._flights[key]
                 flight.done.set()
 
     # ------------------------------------------------------------------

@@ -197,7 +197,7 @@ class PlanServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind and start accepting connections."""
-        if self._server is not None:
+        if self._server is not None or self._draining:
             raise ConfigurationError("server already started")
         self._idle = asyncio.Event()
         self._idle.set()
@@ -242,6 +242,11 @@ class PlanServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            # The asyncio server holds our connection handler, and with it
+            # this server: drop it, so a drained server and the service it
+            # fronts are freed on the last reference, not at the next
+            # cyclic collection.
+            self._server = None
         try:
             await asyncio.wait_for(self._idle.wait(), timeout=timeout_s)
         except asyncio.TimeoutError:

@@ -2,10 +2,11 @@
 
 Two pieces live here:
 
-* :class:`SegmentEnergyTable` — the per-segment matrix of electrical
+* :func:`price_segments` — the per-segment matrices of electrical
   energies for every (v_start, v_end) pair on the velocity grid, i.e. the
   ``zeta(v(s_i), a(s_i))`` term of Eq. 9, with infeasible accelerations
-  marked infinite (the ``+inf`` branch).
+  marked infinite (the ``+inf`` branch), stacked over a corridor's
+  segments; :class:`SegmentEnergyTable` is one segment's matrix.
 * :class:`WindowSet` — an ordered set of absolute time windows with a
   vectorized membership test, used to apply the ``T_q`` penalty of
   Eq. 11/12 to whole time-bin rows at once.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 from operator import attrgetter
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +24,72 @@ from repro.signal.queue import QueueWindow
 from repro.vehicle.dynamics import LongitudinalModel
 
 _START_OF = attrgetter("start_s")
+
+
+#: Upper bound on the (segment, v, v') entries :func:`price_segments`
+#: prices per block, which bounds its temporary arrays (~8 float64
+#: temporaries of this many entries are alive at once).
+_BLOCK_ENTRIES = 1 << 13
+
+
+def price_segments(
+    model: LongitudinalModel,
+    v_grid: np.ndarray,
+    distances_m: np.ndarray,
+    grades_rad: np.ndarray,
+    a_min: float,
+    a_max: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 9 tables of consecutive constant-grade segments, stacked.
+
+    Args:
+        model: Vehicle consumption model.
+        v_grid: Velocity grid values (m/s), shared across segments.
+        distances_m: Length ``ds`` of each segment.
+        grades_rad: Grade of each segment (evaluated at its midpoint).
+        a_min: Minimum allowed acceleration (m/s^2, negative).
+        a_max: Maximum allowed acceleration (m/s^2, positive).
+
+    Returns:
+        ``(energy_j, travel_s, feasible)``, each of shape
+        ``(segments, v, v')``.  ``energy_j[i, j, j2]`` is the electrical
+        energy (J, negative under net regen) to go from ``v_grid[j]`` to
+        ``v_grid[j2]`` over segment ``i`` at constant acceleration, and
+        ``travel_s`` its traversal time; entries violating Eq. 7b or with
+        zero average speed are ``+inf`` in both, and ``False`` in
+        ``feasible``.
+
+    Segments are priced in blocks of at most ``_BLOCK_ENTRIES`` entries:
+    the velocity arithmetic broadcasts over a block, and every entry is
+    bit-identical to pricing its segment alone.
+
+    Raises:
+        ValueError: Some segment length is not positive.
+    """
+    distances_m = np.asarray(distances_m, dtype=float)
+    grades_rad = np.asarray(grades_rad, dtype=float)
+    n_seg, n_v = distances_m.size, v_grid.size
+    energy_j = np.empty((n_seg, n_v, n_v))
+    travel_s = np.empty((n_seg, n_v, n_v))
+    feasible = np.empty((n_seg, n_v, n_v), dtype=bool)
+    v0 = v_grid[:, None]
+    v1 = v_grid[None, :]
+    dv2 = np.square(v1) - np.square(v0)
+    v_avg = 0.5 * (v0 + v1)
+    moving = v_avg > 0.0
+    safe_avg = np.where(moving, v_avg, 1.0)
+    block = max(1, _BLOCK_ENTRIES // (n_v * n_v))
+    for lo in range(0, n_seg, block):
+        ds = distances_m[lo:lo + block, None, None]
+        energy = model.segment_energy_j(v0, v1, ds, grades_rad[lo:lo + block, None, None])
+        accel = dv2 / (2.0 * ds)
+        ok = feasible[lo:lo + block]
+        np.greater_equal(accel, a_min - 1e-12, out=ok)
+        ok &= accel <= a_max + 1e-12
+        ok &= moving
+        energy_j[lo:lo + block] = np.where(ok, energy, np.inf)
+        travel_s[lo:lo + block] = np.where(ok, ds / safe_avg, np.inf)
+    return energy_j, travel_s, feasible
 
 
 class SegmentEnergyTable:
@@ -36,10 +103,11 @@ class SegmentEnergyTable:
         a_min: Minimum allowed acceleration (m/s^2, negative).
         a_max: Maximum allowed acceleration (m/s^2, positive).
 
-    ``E[j, j2]`` is the electrical energy (J, negative under net regen) to
-    go from ``v_grid[j]`` to ``v_grid[j2]`` over the segment at constant
-    acceleration; entries violating Eq. 7b or with zero average speed are
-    ``+inf``.
+    The table is :func:`price_segments` of a one-segment block:
+    ``E[j, j2]`` is the electrical energy (J, negative under net regen)
+    to go from ``v_grid[j]`` to ``v_grid[j2]`` over the segment at
+    constant acceleration; entries violating Eq. 7b or with zero average
+    speed are ``+inf``.
     """
 
     def __init__(
@@ -51,51 +119,13 @@ class SegmentEnergyTable:
         a_min: float,
         a_max: float,
     ) -> None:
-        if distance_m <= 0:
-            raise ValueError(f"segment length must be positive, got {distance_m}")
         self.distance_m = float(distance_m)
-        v0 = v_grid[:, None]
-        v1 = v_grid[None, :]
-        accel = (np.square(v1) - np.square(v0)) / (2.0 * distance_m)
-        v_avg = 0.5 * (v0 + v1)
-        feasible = (accel >= a_min - 1e-12) & (accel <= a_max + 1e-12) & (v_avg > 0.0)
-        energy = np.asarray(
-            model.segment_energy_j(
-                np.broadcast_to(v0, feasible.shape),
-                np.broadcast_to(v1, feasible.shape),
-                distance_m,
-                grade_rad,
-            ),
-            dtype=float,
+        energy_j, travel_s, feasible = price_segments(
+            model, v_grid, np.asarray([distance_m]), np.asarray([grade_rad]), a_min, a_max
         )
-        self.energy_j = np.where(feasible, energy, np.inf)
-        with np.errstate(divide="ignore"):
-            self.travel_s = np.where(v_avg > 0.0, distance_m / np.where(v_avg > 0, v_avg, 1.0), np.inf)
-        self.travel_s = np.where(feasible, self.travel_s, np.inf)
-        self.feasible = feasible
-
-    @classmethod
-    def from_arrays(
-        cls,
-        distance_m: float,
-        energy_j: np.ndarray,
-        travel_s: np.ndarray,
-        feasible: np.ndarray,
-    ) -> "SegmentEnergyTable":
-        """Rehydrate a table from already-priced arrays, without a model.
-
-        The shared-memory attach path
-        (:class:`repro.core.engine.shm.SharedCorridor`) rebuilds tables
-        from exported arrays; re-pricing them would defeat the zero-copy
-        mapping (and double the memory).  The arrays are adopted as-is —
-        the caller vouches they came from an equivalent pricing run.
-        """
-        table = cls.__new__(cls)
-        table.distance_m = float(distance_m)
-        table.energy_j = energy_j
-        table.travel_s = travel_s
-        table.feasible = feasible
-        return table
+        self.energy_j = energy_j[0]
+        self.travel_s = travel_s[0]
+        self.feasible = feasible[0]
 
     def successors(self, j: int) -> np.ndarray:
         """Indices ``j2`` reachable from grid velocity index ``j``."""

@@ -247,7 +247,6 @@ class DpSolver:
             self.positions = artifacts.positions
             self.v_grid = artifacts.v_grid
             self._dwell_at = artifacts.dwell_at
-            self._tables = artifacts.tables
             self._min_time_to_go = artifacts.min_time_to_go
             if velocity_bounds is None:
                 self._allowed = artifacts.allowed
@@ -255,11 +254,11 @@ class DpSolver:
             else:
                 # A solver-local band cannot live in shared artifacts; the
                 # base masks are intersected here and the (much cheaper)
-                # pair extraction happens lazily per segment.
+                # pair extraction reruns over the shared tables.
                 self._allowed = artifacts.restrict_allowed(velocity_bounds)
-                self._pairs = None
+                self._pairs = artifacts.pairs_for(self._allowed)
             span.add(
-                segments=len(self._tables),
+                segments=artifacts.n_segments,
                 velocity_levels=int(self.v_grid.size),
                 artifacts_reused=int(reused),
             )
@@ -270,17 +269,6 @@ class DpSolver:
         whole corridor ignoring signal windows (stop-sign dwells included).
         """
         return float(self._min_time_to_go[0])
-
-    def _segment_pairs(self, i: int) -> tuple:
-        """Feasible (j, j2, energy, dt) transition arrays for segment ``i``."""
-        if self._pairs is not None:
-            return self._pairs[i]
-        table = self._tables[i]
-        feasible = table.feasible & self._allowed[i][:, None] & self._allowed[i + 1][None, :]
-        j_arr, j2_arr = np.nonzero(feasible)
-        e_arr = table.energy_j[j_arr, j2_arr]
-        dt_arr = table.travel_s[j_arr, j2_arr] + self._dwell_at[i]
-        return j_arr, j2_arr, e_arr, dt_arr
 
     # ------------------------------------------------------------------
     # Solve
@@ -396,7 +384,6 @@ class DpSolver:
             if trip_cap <= 0:
                 raise ConfigurationError(f"trip-time cap must be positive, got {trip_cap}")
             trip_cap = min(trip_cap, self.horizon_s)
-            n_bins = int(np.floor(self.horizon_s / self.t_bin_s)) + 1
             n_pts = self.positions.size
             i0, j0, seed_time = self._seed_state(start_state, start_time_s)
 
@@ -418,52 +405,59 @@ class DpSolver:
         prev_of: List[np.ndarray] = []
         v_of: List[np.ndarray] = [lab_v]
         expanded = 0
+        pairs = self._pairs
+        cap_slack = trip_cap + 1e-9
 
         for i in range(i0, n_pts - 1):
             with registry.span("expand") as expand_span:
-                j_arr, j2_arr, e_arr, dt_arr = self._segment_pairs(i)
-                if j_arr.size == 0:
-                    raise InfeasibleProblemError(
-                        f"no feasible transition over segment {i} "
-                        f"({self.positions[i]:.0f}-{self.positions[i + 1]:.0f} m)"
-                    )
-
                 # Expand every (source label, feasible successor)
                 # combination through the pure stage kernel.
+                offsets = pairs.offsets[i]
                 src, cj2, cc, ct = expand_stage(
-                    lab_v, lab_t, lab_c, j_arr, j2_arr, e_arr, dt_arr,
-                    self.v_grid.size,
+                    lab_v, lab_t, lab_c, offsets, pairs.j2, pairs.energy_j, pairs.dt_s
                 )
                 if src.size == 0:
-                    raise InfeasibleProblemError(
-                        f"all labels stranded entering segment {i} "
+                    segment = (
+                        f"segment {i} "
                         f"({self.positions[i]:.0f}-{self.positions[i + 1]:.0f} m)"
                     )
+                    if offsets[0] == offsets[-1]:
+                        raise InfeasibleProblemError(f"no feasible transition over {segment}")
+                    raise InfeasibleProblemError(f"all labels stranded entering {segment}")
                 expanded += src.size
                 expand_span.add(transitions=int(src.size))
 
                 # Time is monotone along a path, so prune any label that could
                 # not reach the destination inside the cap even at the fastest
-                # feasible continuation (admissible suffix bound).
-                keep = ct - start_time_s + self._min_time_to_go[i + 1] <= trip_cap + 1e-9
+                # feasible continuation (admissible suffix bound).  The bound
+                # is monotone in the arrival time, so when the latest
+                # candidate passes, they all do.
+                to_go = self._min_time_to_go[i + 1]
                 target = constraint_at.get(i + 1)
-                if target is not None:
-                    ok = target.windows.contains(ct)
-                    if target.mode == "hard":
-                        keep &= ok
-                    else:
-                        cc = np.where(ok, cc, cc + target.penalty_j)
-                src, cj2, cc, ct = src[keep], cj2[keep], cc[keep], ct[keep]
-                if src.size == 0:
-                    raise InfeasibleProblemError(
-                        f"no label survives into {self.positions[i + 1]:.0f} m; "
-                        "windows or horizon are too tight"
-                    )
+                keep = None  # every candidate survives
+                if target is not None or ct.max() - start_time_s + to_go > cap_slack:
+                    keep = ct - start_time_s + to_go <= cap_slack
+                    if target is not None:
+                        ok = target.windows.contains(ct)
+                        if target.mode == "hard":
+                            keep &= ok
+                        else:
+                            cc = np.where(ok, cc, cc + target.penalty_j)
+                    if keep.all():
+                        keep = None
+                if keep is not None:
+                    kept = keep.nonzero()[0]
+                    if kept.size == 0:
+                        raise InfeasibleProblemError(
+                            f"no label survives into {self.positions[i + 1]:.0f} m; "
+                            "windows or horizon are too tight"
+                        )
+                    src, cj2, cc, ct = src[kept], cj2[kept], cc[kept], ct[kept]
 
             with registry.span("select") as select_span:
                 # Label selection per (v', time bin): keep BOTH the cheapest
                 # candidate and the earliest candidate (see select_labels).
-                sel = select_labels(cj2, cc, ct, start_time_s, self.t_bin_s, n_bins)
+                sel = select_labels(cj2, cc, ct, start_time_s, self.t_bin_s)
 
                 prev_of.append(src[sel].astype(np.int32))
                 lab_v = cj2[sel].astype(np.int16)

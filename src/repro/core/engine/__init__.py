@@ -11,7 +11,11 @@ Public surface:
 * :class:`~repro.core.engine.artifacts.CorridorArtifacts` — the
   immutable precomputed bundle (velocity grid, Eq. 9 energy tables,
   feasibility masks, dwells, min-time-to-go, feasible transition pairs),
-  built once per distinct ``(road, vehicle, grid)`` input set.
+  built once per distinct ``(road, vehicle, grid)`` input set, with
+  every per-segment array stacked over the corridor.
+* :class:`~repro.core.engine.artifacts.TransitionPairs` — the feasible
+  transitions of every segment with their CSR row offsets, the form the
+  stage kernels consume.
 * :func:`~repro.core.engine.artifacts.corridor_digest` — the stable
   blake2b content digest those inputs key under.
 * :class:`~repro.core.engine.store.ArtifactStore` — a bounded LRU of
@@ -21,7 +25,7 @@ Public surface:
   :func:`select_labels`), benchmarkable in isolation.
 """
 
-from repro.core.engine.artifacts import CorridorArtifacts, corridor_digest
+from repro.core.engine.artifacts import CorridorArtifacts, TransitionPairs, corridor_digest
 from repro.core.engine.stage_kernel import expand_stage, select_labels
 from repro.core.engine.store import ArtifactStore, StoreStats
 
@@ -29,6 +33,7 @@ __all__ = [
     "ArtifactStore",
     "CorridorArtifacts",
     "StoreStats",
+    "TransitionPairs",
     "corridor_digest",
     "expand_stage",
     "select_labels",

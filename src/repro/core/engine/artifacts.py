@@ -33,22 +33,27 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cost import SegmentEnergyTable
+from repro.core.cost import price_segments
 from repro.errors import ConfigurationError
 from repro.route.road import RoadSegment
 from repro.vehicle.dynamics import LongitudinalModel
 from repro.vehicle.environment import EnvironmentConditions, NOMINAL_ENVIRONMENT
 from repro.vehicle.params import VehicleParams
 
-__all__ = ["CorridorArtifacts", "corridor_digest"]
+__all__ = ["CorridorArtifacts", "TransitionPairs", "corridor_digest"]
 
 #: Bump when the canonical rendering (or the artifact contents derived
 #: from it) changes shape; digests from different versions never collide.
 #: v2: efficiency-map and environment fragments joined the rendering.
 _DIGEST_VERSION = "corridor-artifacts-v2"
 
-#: Per-segment feasible transition arrays ``(j, j2, energy_j, dt_s)``.
-SegmentPairs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+#: The array fields of :class:`CorridorArtifacts` (besides its ``pairs``)
+#: and of :class:`TransitionPairs`.
+_ARRAY_FIELDS = (
+    "positions", "v_grid", "allowed", "dwell_at",
+    "energy_j", "travel_s", "feasible", "min_time_to_go",
+)
+_PAIR_FIELDS = ("offsets", "j", "j2", "energy_j", "dt_s")
 
 
 def _canonical_parts(
@@ -153,6 +158,68 @@ def corridor_digest(
 
 
 @dataclass(frozen=True, eq=False)
+class TransitionPairs:
+    """The feasible ``(segment, v, v')`` transitions of a corridor, stacked.
+
+    Transitions are in segment-major, then row-major ``(j, j2)`` order —
+    one :func:`numpy.nonzero` over the stacked mask — so each segment's
+    transitions are one contiguous slice, sorted by source velocity.
+
+    Attributes:
+        offsets: ``(segments, levels + 1)`` CSR row offsets into the
+            stacked arrays: segment ``i``'s transitions from velocity
+            index ``j`` are ``offsets[i, j]:offsets[i, j + 1]``, and the
+            segment spans ``offsets[i, 0]:offsets[i, -1]``.
+        j: Source velocity index of each transition.
+        j2: Successor velocity index of each transition.
+        energy_j: Energy of each transition (J).
+        dt_s: Traversal time of each transition, including the dwell
+            charged when departing the segment's start (s).
+    """
+
+    offsets: np.ndarray
+    j: np.ndarray
+    j2: np.ndarray
+    energy_j: np.ndarray
+    dt_s: np.ndarray
+
+    @classmethod
+    def extract(
+        cls,
+        energy_j: np.ndarray,
+        travel_s: np.ndarray,
+        feasible: np.ndarray,
+        allowed: np.ndarray,
+        dwell_at: np.ndarray,
+    ) -> "TransitionPairs":
+        """The transitions feasible under Eq. 7b whose endpoints ``allowed`` admits.
+
+        Args:
+            energy_j, travel_s, feasible: Stacked ``(segments, v, v')``
+                tables from :func:`~repro.core.cost.price_segments`.
+            allowed: ``(points, v)`` admissible-velocity masks.
+            dwell_at: Dwell charged when departing each point (s).
+        """
+        n_seg, n_v = feasible.shape[:2]
+        mask = feasible & allowed[:-1, :, None]
+        mask &= allowed[1:, None, :]
+        seg, j, j2 = np.nonzero(mask)
+        dt_s = travel_s[seg, j, j2]
+        dt_s += dwell_at[seg]
+        ends = np.cumsum(np.bincount(seg * n_v + j, minlength=n_seg * n_v))
+        offsets = np.empty((n_seg, n_v + 1), dtype=np.int64)
+        offsets[:, 1:] = ends.reshape(n_seg, n_v)
+        offsets[0, 0] = 0
+        offsets[1:, 0] = offsets[:-1, -1]
+        return cls(offsets, j, j2, energy_j[seg, j, j2], dt_s)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the transition arrays and their offsets."""
+        return sum(getattr(self, name).nbytes for name in _PAIR_FIELDS)
+
+
+@dataclass(frozen=True, eq=False)
 class CorridorArtifacts:
     """Immutable bundle of everything the DP derives from static inputs.
 
@@ -170,11 +237,15 @@ class CorridorArtifacts:
         allowed: Per-point boolean masks of admissible velocity indices
             (Eq. 7a/7c), *without* any solver-local velocity bounds.
         dwell_at: Dwell charged when departing each grid point (s).
-        tables: Per-segment Eq. 9 energy/time tables.
+        energy_j: ``(segments, v, v')`` Eq. 9 energies (J), ``+inf``
+            where infeasible (:func:`~repro.core.cost.price_segments`).
+        travel_s: ``(segments, v, v')`` traversal times (s), ``+inf``
+            where infeasible.
+        feasible: ``(segments, v, v')`` Eq. 7b feasibility.
         min_time_to_go: Optimistic remaining travel time per point (s).
-        pairs: Per-segment feasible ``(j, j2, energy, dt)`` transition
-            arrays with ``allowed`` already applied — the form the stage
-            kernel consumes directly.
+        pairs: The feasible transitions with ``allowed`` already applied,
+            stacked with their CSR offsets — the form the stage kernel
+            consumes directly.
 
     The arrays are shared, not copied, between every solver holding the
     same artifacts; nothing in the solve path mutates them.
@@ -192,9 +263,11 @@ class CorridorArtifacts:
     v_grid: np.ndarray
     allowed: np.ndarray
     dwell_at: np.ndarray
-    tables: Tuple[SegmentEnergyTable, ...]
+    energy_j: np.ndarray
+    travel_s: np.ndarray
+    feasible: np.ndarray
     min_time_to_go: np.ndarray
-    pairs: Tuple[SegmentPairs, ...]
+    pairs: TransitionPairs
 
     @classmethod
     def build(
@@ -238,12 +311,16 @@ class CorridorArtifacts:
             road, vehicle, positions, v_grid, s_step_m, enforce_min_speed
         )
         dwell_at = _build_dwells(road, positions, stop_dwell_s)
-        tables = _build_tables(road, vehicle, model, positions, v_grid)
-        min_time_to_go = _build_min_time_to_go(tables, dwell_at)
-        pairs = tuple(
-            _segment_pairs(tables[i], allowed, dwell_at, i)
-            for i in range(positions.size - 1)
+        energy_j, travel_s, feasible = price_segments(
+            model,
+            v_grid,
+            np.diff(positions),
+            road.grade_at(0.5 * (positions[:-1] + positions[1:])),
+            vehicle.min_accel_ms2,
+            vehicle.max_accel_ms2,
         )
+        min_time_to_go = _build_min_time_to_go(travel_s, dwell_at)
+        pairs = TransitionPairs.extract(energy_j, travel_s, feasible, allowed, dwell_at)
         return cls(
             digest=corridor_digest(
                 road,
@@ -265,7 +342,9 @@ class CorridorArtifacts:
             v_grid=v_grid,
             allowed=allowed,
             dwell_at=dwell_at,
-            tables=tables,
+            energy_j=energy_j,
+            travel_s=travel_s,
+            feasible=feasible,
             min_time_to_go=min_time_to_go,
             pairs=pairs,
         )
@@ -273,7 +352,7 @@ class CorridorArtifacts:
     @property
     def n_segments(self) -> int:
         """Number of route segments covered by the tables."""
-        return len(self.tables)
+        return self.positions.size - 1
 
     @property
     def nbytes(self) -> int:
@@ -283,18 +362,18 @@ class CorridorArtifacts:
         few tens of MB; size the store capacity so
         ``capacity * nbytes`` fits comfortably in memory.
         """
-        total = (
-            self.positions.nbytes
-            + self.v_grid.nbytes
-            + self.allowed.nbytes
-            + self.dwell_at.nbytes
-            + self.min_time_to_go.nbytes
+        return self.pairs.nbytes + sum(getattr(self, name).nbytes for name in _ARRAY_FIELDS)
+
+    def pairs_for(self, allowed: np.ndarray) -> TransitionPairs:
+        """The transitions whose endpoints a restricted ``allowed`` admits.
+
+        :meth:`build` extracts :attr:`pairs` the same way from the base
+        masks; a solver with a velocity band (see
+        :meth:`restrict_allowed`) extracts its own from the shared tables.
+        """
+        return TransitionPairs.extract(
+            self.energy_j, self.travel_s, self.feasible, allowed, self.dwell_at
         )
-        for table in self.tables:
-            total += table.energy_j.nbytes + table.travel_s.nbytes + table.feasible.nbytes
-        for j_arr, j2_arr, e_arr, dt_arr in self.pairs:
-            total += j_arr.nbytes + j2_arr.nbytes + e_arr.nbytes + dt_arr.nbytes
-        return total
 
     def restrict_allowed(
         self, velocity_bounds: Callable[[float], Tuple[float, float]]
@@ -330,28 +409,27 @@ def _build_allowed_masks(
 ) -> np.ndarray:
     """Per-point boolean masks of admissible velocity indices (Eq. 7a/7c)."""
     stops = np.asarray(road.mandatory_stop_positions())
-    n_pts = positions.size
-    allowed = np.zeros((n_pts, v_grid.size), dtype=bool)
-    for i, s in enumerate(positions):
-        if np.min(np.abs(stops - s)) < 1e-6:
-            allowed[i, 0] = True  # mandatory stop: only v = 0
-            continue
-        v_max = road.v_max_at(float(s))
-        mask = (v_grid > 0.0) & (v_grid <= v_max + 1e-9)
-        if enforce_min_speed:
-            v_min = road.v_min_at(float(s))
-            if v_min > 0:
-                ramp = max(
-                    v_min * v_min / (2.0 * abs(vehicle.min_accel_ms2)),
-                    v_min * v_min / (2.0 * vehicle.max_accel_ms2),
-                ) + s_step_m
-                if np.min(np.abs(stops - s)) > ramp:
-                    mask &= v_grid >= v_min - 1e-9
-        if not mask.any():
-            raise ConfigurationError(
-                f"no admissible velocity at {s:.1f} m; check zone limits vs grid step"
-            )
-        allowed[i] = mask
+    to_stop = np.min(np.abs(stops[None, :] - positions[:, None]), axis=1)
+    zones = [road.zone_at(float(s)) for s in positions]
+    v_max = np.asarray([zone.v_max_ms for zone in zones], dtype=float)
+    allowed = (v_grid > 0.0) & (v_grid <= v_max[:, None] + 1e-9)
+    if enforce_min_speed:
+        v_min = np.asarray([zone.v_min_ms for zone in zones], dtype=float)
+        ramp = np.maximum(
+            v_min * v_min / (2.0 * abs(vehicle.min_accel_ms2)),
+            v_min * v_min / (2.0 * vehicle.max_accel_ms2),
+        ) + s_step_m
+        floored = (v_min > 0) & (to_stop > ramp)
+        allowed[floored] &= v_grid >= v_min[floored, None] - 1e-9
+    at_stop = to_stop < 1e-6
+    allowed[at_stop] = False
+    allowed[at_stop, 0] = True  # mandatory stop: only v = 0
+    empty = np.flatnonzero(~allowed.any(axis=1))
+    if empty.size:
+        raise ConfigurationError(
+            f"no admissible velocity at {positions[empty[0]]:.1f} m; "
+            "check zone limits vs grid step"
+        )
     return allowed
 
 
@@ -366,50 +444,20 @@ def _build_dwells(
     return dwells
 
 
-def _build_tables(
-    road: RoadSegment,
-    vehicle: VehicleParams,
-    model: LongitudinalModel,
-    positions: np.ndarray,
-    v_grid: np.ndarray,
-) -> Tuple[SegmentEnergyTable, ...]:
-    """Per-segment energy/time tables (the Eq. 9 ``zeta`` matrices)."""
-    tables = []
-    a_min, a_max = vehicle.min_accel_ms2, vehicle.max_accel_ms2
-    for i in range(positions.size - 1):
-        ds = float(positions[i + 1] - positions[i])
-        mid = float(0.5 * (positions[i] + positions[i + 1]))
-        tables.append(
-            SegmentEnergyTable(model, v_grid, ds, road.grade_at(mid), a_min, a_max)
-        )
-    return tuple(tables)
-
-
-def _build_min_time_to_go(
-    tables: Tuple[SegmentEnergyTable, ...], dwell_at: np.ndarray
-) -> np.ndarray:
+def _build_min_time_to_go(travel_s: np.ndarray, dwell_at: np.ndarray) -> np.ndarray:
     """Optimistic remaining travel time from each grid point (s).
 
     An admissible bound — the fastest any label could still finish —
     used to prune labels that can no longer make the trip-time cap.
-    Uses each segment's cheapest feasible traversal time plus the
-    mandatory stop-sign dwells.
+    Uses each segment's cheapest feasible traversal time (``+inf`` marks
+    the infeasible entries) plus the mandatory stop-sign dwells, summed
+    from the destination backwards.
     """
-    n_pts = len(tables) + 1
-    to_go = np.zeros(n_pts)
-    for i in range(n_pts - 2, -1, -1):
-        finite = tables[i].travel_s[tables[i].feasible]
-        best = float(finite.min()) if finite.size else np.inf
-        to_go[i] = to_go[i + 1] + best + dwell_at[i]
+    best = travel_s.min(axis=(1, 2)).tolist()
+    dwell = dwell_at.tolist()
+    to_go = np.zeros(len(best) + 1)
+    remaining = 0.0
+    for i in range(len(best) - 1, -1, -1):
+        remaining = remaining + best[i] + dwell[i]
+        to_go[i] = remaining
     return to_go
-
-
-def _segment_pairs(
-    table: SegmentEnergyTable, allowed: np.ndarray, dwell_at: np.ndarray, i: int
-) -> SegmentPairs:
-    """Feasible ``(j, j2, energy, dt)`` transition arrays for segment ``i``."""
-    feasible = table.feasible & allowed[i][:, None] & allowed[i + 1][None, :]
-    j_arr, j2_arr = np.nonzero(feasible)
-    e_arr = table.energy_j[j_arr, j2_arr]
-    dt_arr = table.travel_s[j_arr, j2_arr] + dwell_at[i]
-    return j_arr, j2_arr, e_arr, dt_arr

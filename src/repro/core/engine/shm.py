@@ -31,8 +31,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cost import SegmentEnergyTable
-from repro.core.engine.artifacts import CorridorArtifacts
+from repro.core.engine.artifacts import (
+    _ARRAY_FIELDS,
+    _PAIR_FIELDS,
+    CorridorArtifacts,
+    TransitionPairs,
+)
 from repro.vehicle.efficiency import InterpolatedEfficiencyMap
 
 __all__ = ["SharedCorridor"]
@@ -117,8 +121,6 @@ class SharedCorridor:
             "s_step_m": artifacts.s_step_m,
             "stop_dwell_s": artifacts.stop_dwell_s,
             "enforce_min_speed": artifacts.enforce_min_speed,
-            "n_segments": artifacts.n_segments,
-            "table_distances": [t.distance_m for t in artifacts.tables],
             "slots": slots,
         }
         shared = cls(shm, spec, owner=True)
@@ -156,25 +158,6 @@ class SharedCorridor:
         if self._artifacts is not None:
             return self._artifacts
         spec = self.spec
-        n_segments = spec["n_segments"]
-        tables = tuple(
-            SegmentEnergyTable.from_arrays(
-                distance_m=spec["table_distances"][i],
-                energy_j=self._view(f"table{i}.energy_j"),
-                travel_s=self._view(f"table{i}.travel_s"),
-                feasible=self._view(f"table{i}.feasible"),
-            )
-            for i in range(n_segments)
-        )
-        pairs = tuple(
-            (
-                self._view(f"pair{i}.j"),
-                self._view(f"pair{i}.j2"),
-                self._view(f"pair{i}.e"),
-                self._view(f"pair{i}.dt"),
-            )
-            for i in range(n_segments)
-        )
         vehicle = spec["vehicle"]
         if spec.get("effmap_rated_power_w") is not None:
             vehicle = dataclasses.replace(
@@ -195,13 +178,10 @@ class SharedCorridor:
             s_step_m=spec["s_step_m"],
             stop_dwell_s=spec["stop_dwell_s"],
             enforce_min_speed=spec["enforce_min_speed"],
-            positions=self._view("positions"),
-            v_grid=self._view("v_grid"),
-            allowed=self._view("allowed"),
-            dwell_at=self._view("dwell_at"),
-            tables=tables,
-            min_time_to_go=self._view("min_time_to_go"),
-            pairs=pairs,
+            pairs=TransitionPairs(
+                **{name: self._view(f"pairs.{name}") for name in _PAIR_FIELDS}
+            ),
+            **{name: self._view(name) for name in _ARRAY_FIELDS},
         )
         return self._artifacts
 
@@ -254,21 +234,15 @@ class SharedCorridor:
 
 
 def _iter_arrays(artifacts: CorridorArtifacts):
-    """Every array of the bundle under a stable slot name."""
-    yield "positions", artifacts.positions
-    yield "v_grid", artifacts.v_grid
-    yield "allowed", artifacts.allowed
-    yield "dwell_at", artifacts.dwell_at
-    yield "min_time_to_go", artifacts.min_time_to_go
-    for i, table in enumerate(artifacts.tables):
-        yield f"table{i}.energy_j", table.energy_j
-        yield f"table{i}.travel_s", table.travel_s
-        yield f"table{i}.feasible", table.feasible
-    for i, (j_arr, j2_arr, e_arr, dt_arr) in enumerate(artifacts.pairs):
-        yield f"pair{i}.j", j_arr
-        yield f"pair{i}.j2", j2_arr
-        yield f"pair{i}.e", e_arr
-        yield f"pair{i}.dt", dt_arr
+    """Every array of the bundle under a stable slot name.
+
+    Tables and transitions are stacked over the corridor's segments, so
+    each is one slot however long the corridor.
+    """
+    for name in _ARRAY_FIELDS:
+        yield name, getattr(artifacts, name)
+    for name in _PAIR_FIELDS:
+        yield f"pairs.{name}", getattr(artifacts.pairs, name)
     emap = artifacts.vehicle.efficiency_map
     if isinstance(emap, InterpolatedEfficiencyMap):
         yield "effmap.speeds", emap.speed_array

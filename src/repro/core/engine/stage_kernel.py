@@ -11,8 +11,9 @@ exact arrival time, exact cost-to-come) plus the feasible transition
 arrays of segment ``i`` (from the corridor artifacts) and produces the
 candidate labels at point ``i + 1``; selection then thins the candidates
 to one cheapest and one earliest survivor per ``(velocity, time-bin)``
-slot.  The refactor is behavior-preserving: the operations and their
-order are exactly those of the pre-split solver, so solutions are
+slot.  The kernels are exact: every value is computed by the same
+floating-point operations as the pre-split solver, and the candidate
+order and tie-break are part of the contract, so solutions are
 bit-identical.
 """
 
@@ -29,11 +30,10 @@ def expand_stage(
     lab_v: np.ndarray,
     lab_t: np.ndarray,
     lab_c: np.ndarray,
-    j_arr: np.ndarray,
+    offsets: np.ndarray,
     j2_arr: np.ndarray,
     e_arr: np.ndarray,
     dt_arr: np.ndarray,
-    n_levels: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Expand every (source label, feasible successor) combination.
 
@@ -41,14 +41,14 @@ def expand_stage(
         lab_v: Velocity index of each surviving label at the stage entry.
         lab_t: Exact arrival time of each label (s).
         lab_c: Exact cost-to-come of each label (J).
-        j_arr: Source velocity index of each feasible transition, sorted
-            ascending (the row-major :func:`numpy.nonzero` order the
-            corridor artifacts produce).
-        j2_arr: Successor velocity index of each feasible transition.
-        e_arr: Energy of each feasible transition (J).
-        dt_arr: Traversal time of each feasible transition, including the
+        offsets: The segment's CSR row offsets into the transition
+            arrays: the transitions from velocity index ``j`` are
+            ``offsets[j]:offsets[j + 1]`` (see
+            :class:`~repro.core.engine.artifacts.TransitionPairs`).
+        j2_arr: Successor velocity index of each transition.
+        e_arr: Energy of each transition (J).
+        dt_arr: Traversal time of each transition, including the
             departure dwell (s).
-        n_levels: Size of the velocity grid.
 
     Returns:
         ``(src, cj2, cc, ct)``: for every candidate, the index of its
@@ -57,29 +57,33 @@ def expand_stage(
         feasible continuation (the caller decides how to fail).
 
     Candidates are ordered by source velocity (stable over label order),
-    then by that velocity's transitions in CSR order.  This ragged gather
-    replaced a per-velocity Python loop of ``repeat``/``tile`` chunks
-    that dominated warm mid-route replans.  The candidate ordering (and every value) is
-    bit-identical to the chunked implementation it replaced.
+    then by that velocity's transitions in CSR order.  The order is part
+    of the output: :func:`select_labels` breaks exact ties by candidate
+    index.
     """
-    trans_count = np.bincount(j_arr, minlength=n_levels)
-    trans_start = np.concatenate([[0], np.cumsum(trans_count)])
-    order = np.argsort(lab_v, kind="stable")
+    order = lab_v.argsort(kind="stable")
     v_sorted = lab_v[order]
-    counts_per_label = trans_count[v_sorted]
-    total = int(counts_per_label.sum())
+    starts = offsets[v_sorted]
+    counts = offsets[v_sorted + 1] - starts
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), np.empty(0), np.empty(0)
-    src = np.repeat(order, counts_per_label)
+    src = order.repeat(counts)
     # Ragged gather: candidate k of a label maps to the k-th transition of
-    # that label's velocity in the CSR-ordered pair arrays.
-    block_starts = np.concatenate([[0], np.cumsum(counts_per_label)[:-1]])
-    t_idx = np.arange(total, dtype=np.int64)
-    t_idx += np.repeat(trans_start[v_sorted] - block_starts, counts_per_label)
+    # that label's velocity row.
+    ends -= counts
+    starts -= ends
+    t_idx = starts.repeat(counts)
+    t_idx += np.arange(total)
     cj2 = j2_arr[t_idx].astype(np.int64, copy=False)
-    cc = e_arr[t_idx] + lab_c[src]
-    ct = dt_arr[t_idx] + lab_t[src]
+    # Each label's cost and time repeated over its candidates: lab_c[src]
+    # and lab_t[src], without a gather per candidate.
+    cc = e_arr[t_idx]
+    cc += lab_c[order].repeat(counts)
+    ct = dt_arr[t_idx]
+    ct += lab_t[order].repeat(counts)
     return src, cj2, cc, ct
 
 
@@ -89,7 +93,6 @@ def select_labels(
     ct: np.ndarray,
     start_time_s: float,
     t_bin_s: float,
-    n_bins: int,
 ) -> np.ndarray:
     """Indices of the candidates surviving per-``(velocity, bin)`` selection.
 
@@ -98,53 +101,68 @@ def select_labels(
     optimality, the earliest preserves the fast time-frontier exactly so
     tight windows downstream stay reachable (a cheaper-but-later label
     can never displace the fastest lineage).
+
+    The cheapest is the lexicographic minimum of ``(cc, ct, index)`` in
+    its slot and the earliest that of ``(ct, cc, index)``: exact ties on
+    both keys are common (symmetric paths sum to equal times), so the
+    candidate order decides them.  Returns the winners' indices, sorted.
     """
-    k2 = np.round((ct - start_time_s) / t_bin_s).astype(np.int64)
-    tgt = cj2.astype(np.int64) * n_bins + k2
-    return _cheapest_and_fastest_per_group(tgt, cc, ct)
-
-
-def _cheapest_and_fastest_per_group(
-    tgt: np.ndarray, cc: np.ndarray, ct: np.ndarray
-) -> np.ndarray:
-    """Per group: the index minimizing ``(cc, ct, index)`` and ``(ct, cc, index)``.
-
-    Equivalent to two ``lexsort`` passes over the candidates, each keeping
-    the first element of every group's run, but sort-free: the group keys are small dense
-    integers, so each winner is found by three O(n) scatter-min sweeps
-    (:func:`numpy.minimum.at` into a dense table) — min primary, then min
-    secondary among primary ties, then min index among remaining ties.
-    That is the same lexicographic minimum the stable lexsort's first-
-    per-group picks, so the winner set is identical; the two three-key
-    float lexsorts were the solver's dominant cost.
-    """
-    n = tgt.size
-    if n == 0:
+    if cj2.size == 0:
         return np.empty(0, dtype=np.int64)
-    n_dense = int(tgt.max()) + 1
+    k2 = ((ct - start_time_s) / t_bin_s).round().astype(np.int64)
+    # Dense slot keys over the bins this stage spans, not the horizon.
+    k_lo = k2.min()
+    tgt = cj2.astype(np.int64, copy=False) * (int(k2.max() - k_lo) + 1)
+    tgt += k2
+    tgt -= k_lo
+    n_slots = int(tgt.max()) + 1
+    best_c = _slot_min(tgt, cc, n_slots)
+    best_t = _slot_min(tgt, ct, n_slots)
+    # Arrival times are finite, so an occupied slot has a finite minimum.
+    occupied = int((best_t < np.inf).sum())
+    cheap = cc == best_c[tgt]
+    fast = ct == best_t[tgt]
+    _break_ties(cheap, tgt, ct, n_slots, occupied)
+    _break_ties(fast, tgt, cc, n_slots, occupied)
+    cheap |= fast
+    return cheap.nonzero()[0]
 
-    def first_min(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
-        best_p = np.full(n_dense, np.inf)
-        np.minimum.at(best_p, tgt, primary)
-        pos = np.flatnonzero(primary == best_p[tgt])
-        # The later sweeps run on the primary-tie subset only — one
-        # candidate per group in the common tie-free case.
-        tgt_p = tgt[pos]
-        sec_p = secondary[pos]
-        best_s = np.full(n_dense, np.inf)
-        np.minimum.at(best_s, tgt_p, sec_p)
-        on_s = sec_p == best_s[tgt_p]
-        idx = pos[on_s]
-        winner = np.full(n_dense, n, dtype=np.int64)
-        np.minimum.at(winner, tgt_p[on_s], idx)
-        return winner
 
-    cheap = first_min(cc, ct)
-    fast = first_min(ct, cc)
-    present = cheap < n  # both tables populate exactly the same groups
-    cheap = cheap[present]
-    fast = fast[present]
-    # A candidate belongs to exactly one group, so winners are already
-    # distinct; the union is cheap plus the differing fast winners.
-    return np.sort(np.concatenate([cheap, fast[fast != cheap]]))
+def _slot_min(slots: np.ndarray, values: np.ndarray, n_slots: int) -> np.ndarray:
+    """Per slot, the minimum of its ``values`` (``+inf`` when empty)."""
+    best = np.empty(n_slots)
+    best.fill(np.inf)
+    np.minimum.at(best, slots, values)
+    return best
 
+
+def _break_ties(
+    on: np.ndarray,
+    slots: np.ndarray,
+    secondary: np.ndarray,
+    n_slots: int,
+    occupied: int,
+) -> None:
+    """Thin ``on`` to one candidate per slot where the primary key tied.
+
+    ``on`` marks each slot's primary minimizers, and ``occupied`` slots
+    hold candidates.  In slots with more than one minimizer, the winner
+    is the one with the least ``secondary`` value and, among those, the
+    least index; a slot with a single minimizer keeps it.  Works in
+    place on ``on``.
+    """
+    if np.count_nonzero(on) == occupied:
+        return
+    pos = on.nonzero()[0]
+    tied_slots = slots[pos]
+    tied = np.bincount(tied_slots, minlength=n_slots)[tied_slots] > 1
+    pos = pos[tied]
+    tied_slots = tied_slots[tied]
+    sec = secondary[pos]
+    on_sec = sec == _slot_min(tied_slots, sec, n_slots)[tied_slots]
+    n = slots.size
+    first = np.empty(n_slots, dtype=np.int64)
+    first.fill(n)
+    np.minimum.at(first, tied_slots[on_sec], pos[on_sec])
+    on[pos] = False
+    on[first[first < n]] = True

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -115,9 +115,13 @@ class GradeProfile:
         """A zero-grade profile."""
         return cls([0.0], [0.0])
 
-    def at(self, position_m: float) -> float:
-        """Grade (radians) at a position along the road."""
-        return float(np.interp(position_m, self._pos, self._grd))
+    def at(self, position_m: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        """Grade (radians) at a position along the road.
+
+        An array of positions gives the array of their grades.
+        """
+        grade = np.interp(position_m, self._pos, self._grd)
+        return float(grade) if np.ndim(grade) == 0 else grade
 
     def breakpoints(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(positions_m, grades_rad)`` breakpoint arrays (read-only copies).
@@ -193,8 +197,8 @@ class RoadSegment:
         """Minimum expected speed (m/s) at a position (Eq. 7a lower bound)."""
         return self.zone_at(position_m).v_min_ms
 
-    def grade_at(self, position_m: float) -> float:
-        """Road grade (radians) at a position."""
+    def grade_at(self, position_m: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        """Road grade (radians) at a position, or at each of an array of them."""
         return self.grade.at(position_m)
 
     # ------------------------------------------------------------------

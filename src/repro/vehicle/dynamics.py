@@ -27,7 +27,7 @@ All functions accept scalars or numpy arrays and broadcast.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -88,9 +88,32 @@ class LongitudinalModel:
             Tractive force in newtons; negative when braking effort is
             required to hold the commanded deceleration.
         """
-        p = self.params
-        ground_speed = np.asarray(speed, dtype=float)
+        result = self._drive_force(
+            np.asarray(speed, dtype=float), accel, *self._grade_forces(grade_rad)
+        )
+        return float(result) if np.isscalar(speed) and np.isscalar(accel) else result
+
+    def _grade_forces(self, grade_rad: ArrayLike) -> Tuple[ArrayLike, ArrayLike]:
+        """The speed-independent Eq. 1 terms on a grade (N).
+
+        Returns ``(gravity, rolling)``: the gravity component
+        ``m*g*sin(theta)`` and the rolling resistance
+        ``mu*m*g*cos(theta)`` of a turning wheel.
+        """
         grade = np.asarray(grade_rad, dtype=float) + self._grade_offset_rad
+        gravity = self._mass_kg * GRAVITY * np.sin(grade)
+        rolling = self._rolling_resistance * self._mass_kg * GRAVITY * np.cos(grade)
+        return gravity, rolling
+
+    def _drive_force(
+        self,
+        ground_speed: np.ndarray,
+        accel: ArrayLike,
+        gravity: ArrayLike,
+        rolling: ArrayLike,
+    ) -> np.ndarray:
+        """Eq. 1 from the speed and the :meth:`_grade_forces` terms."""
+        p = self.params
         inertial = self._mass_kg * np.asarray(accel, dtype=float)
         # Drag follows the speed relative to the air; the signed form
         # (v+w)|v+w| keeps a strong tailwind from producing phantom
@@ -103,12 +126,9 @@ class LongitudinalModel:
             * p.drag_coefficient
             * (rel_air * np.abs(rel_air))
         )
-        gravity = self._mass_kg * GRAVITY * np.sin(grade)
         # Rolling resistance vanishes when the wheels are not turning.
-        rolling = self._rolling_resistance * self._mass_kg * GRAVITY * np.cos(grade)
         rolling = np.where(ground_speed > 0.0, rolling, 0.0)
-        result = inertial + aero + gravity + rolling
-        return float(result) if np.isscalar(speed) and np.isscalar(accel) else result
+        return inertial + aero + gravity + rolling
 
     def mechanical_power(
         self, speed: ArrayLike, accel: ArrayLike, grade_rad: ArrayLike = 0.0
@@ -135,15 +155,19 @@ class LongitudinalModel:
         without one the constant ``eta_1 * eta_2`` applies, keeping the
         arithmetic bit-identical to the historical expressions.
         """
-        p = self.params
         mech = np.asarray(self.mechanical_power(speed, accel, grade_rad), dtype=float)
-        eta = self._eta(speed, mech)
-        drawing = mech / eta
-        regenerating = mech * p.regen_efficiency * eta
-        elec = np.where(mech >= 0.0, drawing, regenerating) + p.aux_power_w
+        elec = self._electrical_power(speed, mech)
         if np.ndim(elec) == 0:
             return float(elec)
         return elec
+
+    def _electrical_power(self, speed: ArrayLike, mech: np.ndarray) -> np.ndarray:
+        """Pack power (W) for a mechanical power at the wheels."""
+        p = self.params
+        eta = self._eta(speed, mech)
+        drawing = mech / eta
+        regenerating = mech * p.regen_efficiency * eta
+        return np.where(mech >= 0.0, drawing, regenerating) + p.aux_power_w
 
     def _eta(self, speed: ArrayLike, mech_power: ArrayLike) -> ArrayLike:
         """Drivetrain efficiency at an operating point.
@@ -187,7 +211,7 @@ class LongitudinalModel:
         self,
         speed_start: ArrayLike,
         speed_end: ArrayLike,
-        distance_m: float,
+        distance_m: ArrayLike,
         grade_rad: ArrayLike = 0.0,
     ) -> ArrayLike:
         """Electrical energy (J) to traverse a segment at constant acceleration.
@@ -198,23 +222,47 @@ class LongitudinalModel:
         ``dt = ds / v_avg``.  The consumption is evaluated at the mean
         speed, which is second-order accurate for short segments.
 
+        ``distance_m`` and ``grade_rad`` may be arrays that broadcast
+        against the speeds, one value per segment, to price a block of
+        segments in one call.  The grade terms are evaluated once per
+        distinct grade, each as a 0-d value, so every entry of a block
+        is bit-identical to pricing its segment alone.
+
         Returns ``+inf`` where both endpoint speeds are zero (the segment
         can never be traversed).
+
+        Raises:
+            ValueError: Some distance is not positive.
         """
-        if distance_m <= 0:
+        ds = np.asarray(distance_m, dtype=float)
+        if np.any(ds <= 0):
             raise ValueError(f"distance must be positive, got {distance_m}")
         v0 = np.asarray(speed_start, dtype=float)
         v1 = np.asarray(speed_end, dtype=float)
         v_avg = 0.5 * (v0 + v1)
         movable = v_avg > 0.0
         safe_avg = np.where(movable, v_avg, 1.0)
-        accel = (np.square(v1) - np.square(v0)) / (2.0 * distance_m)
-        dt = distance_m / safe_avg
-        power = np.asarray(self.electrical_power(safe_avg, accel, grade_rad), dtype=float)
+        accel = (np.square(v1) - np.square(v0)) / (2.0 * ds)
+        dt = ds / safe_avg
+        mech = self._drive_force(safe_avg, accel, *self._grade_forces_each(grade_rad))
+        mech *= safe_avg
+        power = self._electrical_power(safe_avg, mech)
         energy = np.where(movable, power * dt, np.inf)
         if np.ndim(energy) == 0:
             return float(energy)
         return energy
+
+    def _grade_forces_each(self, grade_rad: ArrayLike) -> Tuple[ArrayLike, ArrayLike]:
+        """:meth:`_grade_forces` of every grade value, each evaluated 0-d."""
+        grade = np.asarray(grade_rad, dtype=float)
+        if grade.ndim == 0:
+            return self._grade_forces(grade)
+        values, inverse = np.unique(grade, return_inverse=True)
+        terms = np.asarray([self._grade_forces(value) for value in values])
+        return (
+            terms[inverse, 0].reshape(grade.shape),
+            terms[inverse, 1].reshape(grade.shape),
+        )
 
     def segment_charge_mah(
         self,

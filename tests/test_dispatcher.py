@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +169,127 @@ class TestSingleFlight:
         assert stats.errors == 1
         assert stats.completed == 2
         assert stats.in_flight == 0
+
+
+class TestSameKeyChaining:
+    def test_followers_of_one_key_never_overlap(self, monkeypatch):
+        """Regression: every follower of a key used to wake on the leader's
+        completion and call the service at once, so a follower whose hit
+        failed revalidation could replace the cache entry after a sibling
+        had already read it — an order no serial loop produces.
+
+        Followers are now chained: each waits for its predecessor's call
+        to finish.  The stub holds the first follower's call open until
+        either the second follower's call overlaps it (the race) or the
+        second follower is seen waiting on the first (the chain); no
+        sleep decides the outcome.
+        """
+        from repro.cloud import dispatcher as dispatcher_module
+
+        cond = threading.Condition()
+        inside, overlaps, waited_on = set(), [], []
+        submitted, release = threading.Event(), threading.Event()
+
+        class WatchedEvent(threading.Event):
+            def wait(self, timeout=None):
+                with cond:
+                    waited_on.append(self)
+                    cond.notify_all()
+                return super().wait(timeout)
+
+        class WatchedFlight:
+            def __init__(self):
+                self.done = WatchedEvent()
+
+        class OverlapRecorder:
+            def coalesce_key(self, req):
+                return "k"
+
+            def request(self, req):
+                with cond:
+                    if inside:
+                        overlaps.append((sorted(inside), req.vehicle_id))
+                    inside.add(req.vehicle_id)
+                    cond.notify_all()
+                try:
+                    # The leader stays in flight until every request is in.
+                    gate = submitted if req.vehicle_id == "leader" else release
+                    assert gate.wait(timeout=10.0), "never released"
+                    return _response(req.vehicle_id)
+                finally:
+                    with cond:
+                        inside.discard(req.vehicle_id)
+                        cond.notify_all()
+
+        monkeypatch.setattr(dispatcher_module, "_Flight", WatchedFlight)
+        names = ("leader", "follower-1", "follower-2")
+        with PlanDispatcher(OverlapRecorder(), workers=3) as dispatcher:
+            futures = [dispatcher.submit(PlanRequest(v, depart_s=10.0)) for v in names]
+            submitted.set()
+            try:
+                with cond:
+                    assert cond.wait_for(lambda: inside - {"leader"}, timeout=10.0)
+                    # The leader is done by now, so an unset event being
+                    # waited on is the first follower's, awaited by the
+                    # second.
+                    assert cond.wait_for(
+                        lambda: overlaps or any(not e.is_set() for e in waited_on),
+                        timeout=10.0,
+                    )
+            finally:
+                submitted.set()
+                release.set()
+            served = [f.result(timeout=10.0).vehicle_id for f in futures]
+        assert served == list(names)
+        assert overlaps == []
+        stats = dispatcher.stats()
+        assert (stats.leaders, stats.completed, stats.in_flight) == (1, 3, 0)
+
+
+    def test_same_key_calls_run_in_submission_order_under_stress(self):
+        """More workers than cores, a tiny switch interval, three keys:
+        each key's service calls never overlap and arrive in submission
+        order, and every follower is counted once."""
+        lock = threading.Lock()
+        inside, served = {}, {}
+        overlaps = []
+
+        class OrderRecorder:
+            def coalesce_key(self, req):
+                return req.vehicle_id.split("-")[0]
+
+            def request(self, req):
+                key = self.coalesce_key(req)
+                with lock:
+                    if inside.get(key):
+                        overlaps.append(req.vehicle_id)
+                    inside[key] = True
+                    hit = key in served
+                    served.setdefault(key, []).append(req.vehicle_id)
+                with lock:
+                    inside[key] = False
+                return replace(_response(req.vehicle_id), cache_hit=hit)
+
+        keys, per_key = ("a", "b", "c"), 20
+        requests = [
+            PlanRequest(f"{key}-{k}", depart_s=10.0)
+            for k in range(per_key) for key in keys
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with PlanDispatcher(OrderRecorder(), workers=8) as dispatcher:
+                futures = [dispatcher.submit(req) for req in requests]
+                for future in futures:
+                    future.result(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert overlaps == []
+        for key in keys:
+            assert served[key] == [f"{key}-{k}" for k in range(per_key)]
+        stats = dispatcher.stats()
+        assert stats.completed == len(requests) and stats.in_flight == 0
+        assert stats.leaders + stats.coalesced == len(requests)
 
 
 class TestDeadlines:

@@ -1,0 +1,240 @@
+"""Corridor-artifact layout: the stacked build against a per-segment oracle.
+
+:meth:`CorridorArtifacts.build` prices every segment in blocks, extracts
+all transitions with one :func:`numpy.nonzero` over the stacked mask and
+builds the admissible-velocity masks without a per-point loop.  The
+oracle below is the per-segment build it replaced — a
+:class:`SegmentEnergyTable` per segment, per-segment pair extraction,
+the per-point mask loop and the backwards min-time sum — and every array
+must come out byte-equal.
+
+The shared-memory export must carry all of it, CSR offsets included, to
+an attached bundle that solves bit-identically.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.cost import SegmentEnergyTable, WindowSet
+from repro.core.dp import DpSolver, TimeWindowConstraint
+from repro.core.engine import CorridorArtifacts
+from repro.core.engine.shm import SharedCorridor
+from repro.errors import ConfigurationError
+from repro.route.road import GradeProfile, RoadSegment, SignalSite, SpeedLimitZone, StopSign
+from repro.route.us25 import us25_greenville_segment
+from repro.signal.light import TrafficLight
+from repro.signal.queue import QueueWindow
+from repro.units import kmh_to_ms
+from repro.vehicle.catalog import get_vehicle, vehicle_ids
+from repro.vehicle.dynamics import LongitudinalModel
+from repro.vehicle.scenarios import get_scenario, scenario_ids
+
+#: The serving benchmark's grid and the paper's default grid.
+BENCHMARK_GRID = dict(v_step_ms=1.0, s_step_m=25.0)
+PAPER_GRID = dict(v_step_ms=0.5, s_step_m=10.0)
+
+
+# ----------------------------------------------------------------------
+# The per-segment oracle
+# ----------------------------------------------------------------------
+def _oracle_allowed(road, vehicle, positions, v_grid, s_step_m, enforce_min_speed):
+    stops = np.asarray(road.mandatory_stop_positions())
+    allowed = np.zeros((positions.size, v_grid.size), dtype=bool)
+    for i, s in enumerate(positions):
+        if np.min(np.abs(stops - s)) < 1e-6:
+            allowed[i, 0] = True
+            continue
+        v_max = road.v_max_at(float(s))
+        mask = (v_grid > 0.0) & (v_grid <= v_max + 1e-9)
+        if enforce_min_speed:
+            v_min = road.v_min_at(float(s))
+            if v_min > 0:
+                ramp = max(
+                    v_min * v_min / (2.0 * abs(vehicle.min_accel_ms2)),
+                    v_min * v_min / (2.0 * vehicle.max_accel_ms2),
+                ) + s_step_m
+                if np.min(np.abs(stops - s)) > ramp:
+                    mask &= v_grid >= v_min - 1e-9
+        allowed[i] = mask
+    return allowed
+
+
+def _oracle(artifacts):
+    """Every build array, recomputed one segment (and one point) at a time."""
+    road, vehicle = artifacts.road, artifacts.vehicle
+    positions, v_grid, dwell_at = artifacts.positions, artifacts.v_grid, artifacts.dwell_at
+    model = LongitudinalModel(vehicle, artifacts.environment)
+    tables = []
+    for i in range(positions.size - 1):
+        ds = float(positions[i + 1] - positions[i])
+        mid = float(0.5 * (positions[i] + positions[i + 1]))
+        tables.append(
+            SegmentEnergyTable(
+                model, v_grid, ds, road.grade_at(mid),
+                vehicle.min_accel_ms2, vehicle.max_accel_ms2,
+            )
+        )
+    allowed = _oracle_allowed(
+        road, vehicle, positions, v_grid, artifacts.s_step_m, artifacts.enforce_min_speed
+    )
+    pairs, offsets = [], []
+    start = 0
+    for i, table in enumerate(tables):
+        feasible = table.feasible & allowed[i][:, None] & allowed[i + 1][None, :]
+        j_arr, j2_arr = np.nonzero(feasible)
+        e_arr = table.energy_j[j_arr, j2_arr]
+        dt_arr = table.travel_s[j_arr, j2_arr] + dwell_at[i]
+        pairs.append((j_arr, j2_arr, e_arr, dt_arr))
+        counts = np.bincount(j_arr, minlength=v_grid.size)
+        offsets.append(start + np.concatenate([[0], np.cumsum(counts)]))
+        start += j_arr.size
+    to_go = np.zeros(positions.size)
+    for i in range(positions.size - 2, -1, -1):
+        finite = tables[i].travel_s[tables[i].feasible]
+        best = float(finite.min()) if finite.size else np.inf
+        to_go[i] = to_go[i + 1] + best + dwell_at[i]
+    return tables, allowed, pairs, np.asarray(offsets, dtype=np.int64), to_go
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _segment_slices(pairs, i):
+    """Segment ``i``'s ``(j, j2, energy_j, dt_s)``: one slice of the stacked arrays."""
+    lo, hi = pairs.offsets[i, 0], pairs.offsets[i, -1]
+    return pairs.j[lo:hi], pairs.j2[lo:hi], pairs.energy_j[lo:hi], pairs.dt_s[lo:hi]
+
+
+def _assert_matches_oracle(artifacts):
+    tables, allowed, pairs, offsets, to_go = _oracle(artifacts)
+    assert artifacts.n_segments == len(tables)
+    for i, table in enumerate(tables):
+        assert _same_bytes(artifacts.energy_j[i], table.energy_j)
+        assert _same_bytes(artifacts.travel_s[i], table.travel_s)
+        assert _same_bytes(artifacts.feasible[i], table.feasible)
+        for got, want in zip(_segment_slices(artifacts.pairs, i), pairs[i]):
+            assert _same_bytes(got, want)
+    assert _same_bytes(artifacts.pairs.offsets, offsets)
+    assert _same_bytes(artifacts.allowed, allowed)
+    assert _same_bytes(artifacts.min_time_to_go, to_go)
+    # The oracle's dt sums read the dwells, so pin them too.
+    stops = [int(np.argmin(np.abs(artifacts.positions - s.position_m)))
+             for s in artifacts.road.stop_signs]
+    expected_dwell = np.zeros(artifacts.positions.size)
+    expected_dwell[stops] = artifacts.stop_dwell_s
+    assert _same_bytes(artifacts.dwell_at, expected_dwell)
+
+
+def _graded_road():
+    """A short hilly road: two zones with minimum speeds, two stop signs, a signal."""
+    return RoadSegment(
+        name="graded test road",
+        length_m=1400.0,
+        zones=[
+            SpeedLimitZone(0.0, 700.0, v_max_ms=kmh_to_ms(50.0), v_min_ms=kmh_to_ms(20.0)),
+            SpeedLimitZone(700.0, 1400.0, v_max_ms=kmh_to_ms(70.0), v_min_ms=kmh_to_ms(30.0)),
+        ],
+        stop_signs=[StopSign(333.0), StopSign(1015.0)],
+        signals=[SignalSite(position_m=620.0, light=TrafficLight(red_s=25.0, green_s=30.0))],
+        grade=GradeProfile(
+            [0.0, 250.0, 500.0, 900.0, 1400.0], [0.0, 0.035, -0.02, 0.05, -0.01]
+        ),
+    )
+
+
+class TestStackedBuildMatchesPerSegmentOracle:
+    @pytest.mark.parametrize("scenario_id", scenario_ids())
+    @pytest.mark.parametrize("vehicle_id", vehicle_ids())
+    def test_us25_benchmark_grid(self, vehicle_id, scenario_id):
+        artifacts = CorridorArtifacts.build(
+            us25_greenville_segment(),
+            get_vehicle(vehicle_id),
+            environment=get_scenario(scenario_id).environment,
+            **BENCHMARK_GRID,
+        )
+        _assert_matches_oracle(artifacts)
+
+    @pytest.mark.parametrize("enforce_min_speed", [True, False])
+    def test_graded_road_paper_grid(self, vehicle, enforce_min_speed):
+        artifacts = CorridorArtifacts.build(
+            _graded_road(), vehicle, enforce_min_speed=enforce_min_speed, **PAPER_GRID
+        )
+        assert np.ptp([artifacts.road.grade_at(float(s)) for s in artifacts.positions]) > 0
+        _assert_matches_oracle(artifacts)
+
+    def test_empty_mask_reports_the_first_bad_point(self, vehicle):
+        # A 0.1 m/s limit leaves no positive grid speed at a 1 m/s step.
+        road = RoadSegment(
+            name="crawl",
+            length_m=300.0,
+            zones=[
+                SpeedLimitZone(0.0, 150.0, v_max_ms=10.0),
+                SpeedLimitZone(150.0, 300.0, v_max_ms=0.1),
+            ],
+        )
+        with pytest.raises(ConfigurationError, match="no admissible velocity at 150.0 m"):
+            CorridorArtifacts.build(road, vehicle, v_step_ms=1.0, s_step_m=50.0)
+
+    def test_band_pairs_come_from_the_same_extractor(self, vehicle):
+        artifacts = CorridorArtifacts.build(_graded_road(), vehicle, **BENCHMARK_GRID)
+        assert _same_bytes(artifacts.pairs_for(artifacts.allowed).offsets,
+                           artifacts.pairs.offsets)
+        band = artifacts.restrict_allowed(lambda s: (0.0, 9.0))
+        restricted = artifacts.pairs_for(band)
+        for i in range(artifacts.n_segments):
+            j_arr, j2_arr, _, _ = _segment_slices(restricted, i)
+            assert np.all(band[i][j_arr]) and np.all(band[i + 1][j2_arr])
+        assert restricted.j.size < artifacts.pairs.j.size
+
+
+# ----------------------------------------------------------------------
+# Shared-memory round trip
+# ----------------------------------------------------------------------
+def _array_fields(artifacts):
+    yield "positions", artifacts.positions
+    yield "v_grid", artifacts.v_grid
+    yield "allowed", artifacts.allowed
+    yield "dwell_at", artifacts.dwell_at
+    yield "energy_j", artifacts.energy_j
+    yield "travel_s", artifacts.travel_s
+    yield "feasible", artifacts.feasible
+    yield "min_time_to_go", artifacts.min_time_to_go
+    for name in ("offsets", "j", "j2", "energy_j", "dt_s"):
+        yield f"pairs.{name}", getattr(artifacts.pairs, name)
+
+
+class TestSharedCorridorRoundTrip:
+    @pytest.mark.parametrize("vehicle_id", ["spark_ev", "sedan_ev"])
+    def test_export_attach_is_lossless_and_solves_identically(self, vehicle_id):
+        road = _graded_road()
+        vehicle = get_vehicle(vehicle_id)
+        built = CorridorArtifacts.build(road, vehicle, **BENCHMARK_GRID)
+        with SharedCorridor.export(built) as exported:
+            attached = SharedCorridor.attach(exported.spec)
+            try:
+                view = attached.artifacts()
+                assert view is not built
+                assert view.digest == built.digest
+                assert view.nbytes == built.nbytes
+                for (name, got), (_, want) in zip(_array_fields(view), _array_fields(built)):
+                    assert _same_bytes(got, want), name
+                    assert not got.flags.writeable, name
+                # One slot per array: the stacked layout does not grow
+                # with the number of segments.
+                assert len(exported.spec["slots"]) <= 16
+                window = TimeWindowConstraint(
+                    620.0, WindowSet([QueueWindow(60.0, 95.0), QueueWindow(150.0, 190.0)])
+                )
+                kwargs = dict(vehicle=vehicle, t_bin_s=2.0, horizon_s=400.0, **BENCHMARK_GRID)
+                want = DpSolver(road, artifacts=built, **kwargs).solve([window])
+                got = DpSolver(road, artifacts=view, **kwargs).solve([window])
+                assert np.array_equal(got.profile.speeds_ms, want.profile.speeds_ms)
+                assert got.energy_j == want.energy_j
+                assert got.trip_time_s == want.trip_time_s
+                assert got.expanded_transitions == want.expanded_transitions
+            finally:
+                del view
+                attached.close()

@@ -1,9 +1,11 @@
 """The TCP front door: admission, containment, deadlines, drain."""
 
+import gc
 import json
 import socket
 import struct
 import threading
+import weakref
 from concurrent.futures import Future
 
 import pytest
@@ -447,6 +449,24 @@ class TestGracefulDrain:
             transport.close()
         assert handle.final_stats is not None
         assert handle.final_stats["server"]["served"] == 1
+
+
+    def test_drained_server_is_freed_without_the_cycle_collector(self):
+        """Regression: the asyncio server kept a reference to the plan
+        server's connection handler, so a drained server — and the
+        service, router and corridor artifacts behind it — lived until
+        the next cyclic collection, however long the caller had dropped
+        it."""
+        service = StubPlannerService()
+        gc.disable()
+        try:
+            handle = serve_in_background(service)
+            handle.drain()
+            server = weakref.ref(handle.server)
+            del handle
+            assert server() is None
+        finally:
+            gc.enable()
 
 
 class TestWireIdentity:
