@@ -7,8 +7,10 @@ fleet served three ways —
 * ``serial_*`` — the plain in-thread loop (``workers=0``);
 * ``dispatched_*`` — the same stream through the coalescing dispatcher
   with 4 workers;
-* ``wire_*`` — dispatcher serving with every request/response crossing
-  the wire codec.
+* ``wire_*`` — the same stream over loopback TCP: a plan server with a
+  4-worker dispatcher, reached through a ``NetworkPlanTransport``, so
+  every request and response crosses the wire codec, the framing and a
+  socket.
 
 The acceptance gate is **identity, not speed**: all three modes must
 produce bit-identical fleet energy/time aggregates and identical
@@ -31,6 +33,8 @@ import sys
 import time
 
 from repro.cloud.fleet import FleetStudy
+from repro.cloud.netclient import NetworkPlanTransport
+from repro.cloud.server import serve_in_background
 from repro.cloud.service import CloudPlannerService
 from repro.core.engine import ArtifactStore
 from repro.core.planner import PlannerConfig, QueueAwareDpPlanner
@@ -46,19 +50,36 @@ WORKERS = 4
 ROUNDS = 3
 
 
-def _run_fleet(road, workers: int, wire_roundtrip: bool = False):
+def _build_service(road) -> CloudPlannerService:
     store = ArtifactStore()
     planner = QueueAwareDpPlanner(road, arrival_rates=RATE, config=CONFIG, store=store)
-    service = CloudPlannerService(planner)
+    return CloudPlannerService(planner)
+
+
+def _run_fleet(road, workers: int):
     study = FleetStudy(
-        service,
+        _build_service(road),
         road,
         fleet_rate_vph=FLEET_RATE_VPH,
         seed=SEED,
         workers=workers,
-        wire_roundtrip=wire_roundtrip,
     )
     return study.run(duration_s=DURATION_S)
+
+
+def _run_wire_fleet(road):
+    """The same fleet, served over loopback TCP by a plan server."""
+    service = _build_service(road)
+    with serve_in_background(service, workers=WORKERS) as handle:
+        with NetworkPlanTransport(*handle.address, timeout_s=60.0) as transport:
+            study = FleetStudy(
+                service,
+                road,
+                fleet_rate_vph=FLEET_RATE_VPH,
+                seed=SEED,
+                via=transport,
+            )
+            return study.run(duration_s=DURATION_S)
 
 
 def _timed(fn, rounds: int = ROUNDS):
@@ -76,9 +97,7 @@ def main(destination: str = "BENCH_pr5.json") -> int:
 
     serial, serial_s = _timed(lambda: _run_fleet(road, workers=0))
     dispatched, dispatched_s = _timed(lambda: _run_fleet(road, workers=WORKERS))
-    wired, wired_s = _timed(
-        lambda: _run_fleet(road, workers=WORKERS, wire_roundtrip=True)
-    )
+    wired, wired_s = _timed(lambda: _run_wire_fleet(road))
 
     # The gate: three serving modes, one set of numbers.
     for name, other in (("dispatched", dispatched), ("wire", wired)):

@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the composed serving-stack counters (service, plan "
         "caches, resilient client, artifact store) to PATH as one JSON "
-        "document (schema repro.cloud.stats/v1)",
+        "document (schema repro.cloud.stats/v2)",
     )
     parser.add_argument(
         "--validate",

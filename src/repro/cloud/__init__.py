@@ -12,7 +12,7 @@ of the planners:
   codec between those records and canonical JSON bytes (bit-exact round
   trips; malformed payloads raise typed errors).
 * :mod:`repro.cloud.plan_cache` — the cache layer: a bounded,
-  thread-safe LRU+TTL store with full hit/miss/eviction accounting.
+  thread-safe LRU store with full hit/miss/eviction accounting.
 * :mod:`repro.cloud.service` — the serving layer: a thin phase-aware
   facade that validates, consults the caches and plans on misses.
 * :mod:`repro.cloud.dispatcher` — the dispatch layer: a worker pool with

@@ -20,9 +20,11 @@ Two serving modes share one aggregation path:
   (``backend="process"``) plugs in here unchanged and serves
   bit-identical plans too.
 
-With ``wire_roundtrip=True`` every request and response crosses the
-:mod:`repro.cloud.wire` codec — a realistic serialization boundary whose
-bit-exactness keeps results unchanged.
+To put the real wire under a study, serve ``via=`` a
+:class:`~repro.cloud.netclient.NetworkPlanTransport` pointing at a
+:class:`~repro.cloud.server.PlanServer`: every request and response then
+crosses the codec, the framing and a socket, and the results stay
+bit-identical.
 
 **Multi-corridor mode** (``corridors=`` instead of ``road=``) drives an
 interleaved fleet across several corridors at once — vehicle ``i``
@@ -42,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.cloud import wire
 from repro.cloud.dispatcher import DispatcherStats, PlanDispatcher
 from repro.cloud.messages import PlanRequest, PlanResponse
 from repro.cloud.plan_cache import CacheStats
@@ -121,7 +122,7 @@ class FleetResult:
         failed_vehicle_ids: Ids of the unplannable departures, in order.
         store: Corridor-artifact store counters at the end of the run
             (``None`` when the service's planner holds no shared store).
-        cache: Plan-cache (LRU+TTL) counters at the end of the run.
+        cache: Plan-cache counters at the end of the run.
         dispatch: Dispatcher counters (``None`` for serial runs).
         per_corridor: One :class:`CorridorFleetSlice` per corridor, in
             catalog order (empty for single-corridor studies).
@@ -173,8 +174,6 @@ class FleetStudy:
         seed: Departure sampling and style assignment seed.
         workers: Dispatcher worker threads; 0 (the default) serves the
             stream serially in the caller's thread.
-        wire_roundtrip: Round-trip every request and response through
-            the wire codec (bit-exact; results unchanged).
         backend: Dispatcher backend when ``workers > 0``: ``"thread"``
             (default) or ``"process"`` (key-sharded worker processes
             over shared-memory artifacts).
@@ -208,7 +207,6 @@ class FleetStudy:
         background_vph: float = 300.0,
         seed: int = 0,
         workers: int = 0,
-        wire_roundtrip: bool = False,
         backend: str = "thread",
         via=None,
         corridors: Optional[Sequence] = None,
@@ -250,7 +248,6 @@ class FleetStudy:
         self.background_vph = background_vph
         self.seed = seed
         self.workers = int(workers)
-        self.wire_roundtrip = bool(wire_roundtrip)
         self.backend = backend
 
     def _corridor_of(self, index: int):
@@ -263,14 +260,10 @@ class FleetStudy:
         self, vehicle_id: str, depart_s: float, corridor_id: Optional[str] = None
     ) -> PlanRequest:
         if corridor_id is None:
-            req = PlanRequest(vehicle_id=vehicle_id, depart_s=depart_s)
-        else:
-            req = PlanRequest(
-                vehicle_id=vehicle_id, depart_s=depart_s, corridor_id=corridor_id
-            )
-        if self.wire_roundtrip:
-            req = wire.roundtrip_request(req)
-        return req
+            return PlanRequest(vehicle_id=vehicle_id, depart_s=depart_s)
+        return PlanRequest(
+            vehicle_id=vehicle_id, depart_s=depart_s, corridor_id=corridor_id
+        )
 
     def _serve_stream(self, departures: np.ndarray):
         """Serve all departures; yields ``(vehicle_id, response-or-error)``.
@@ -361,8 +354,6 @@ class FleetStudy:
                 if isinstance(outcome, Exception):
                     raise outcome
                 response: PlanResponse = outcome
-                if self.wire_roundtrip:
-                    response = wire.roundtrip_response(response)
                 planned[cid] += response.energy_mah
                 trip_times.append(response.trip_time_s)
                 if styles[i]:

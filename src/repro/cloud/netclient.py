@@ -94,14 +94,6 @@ class NetworkPlanTransport:
         max_frame_bytes: Frame cap (must be >= the server's).
         persistent: Reuse one connection across requests; any failure
             closes it and the next call reconnects.
-        wire_version: The wire dialect this client speaks (the server
-            answers in kind).  Version 1 frames carry no
-            ``corridor_id`` — the server routes them to its configured
-            default corridor — so pinning 1 here exercises exactly what
-            a pre-sharding vehicle fleet sends.  A v1 client can only
-            address the default corridor; encoding a request for any
-            other corridor raises
-            :class:`~repro.errors.WireProtocolError`.
     """
 
     def __init__(
@@ -111,21 +103,14 @@ class NetworkPlanTransport:
         timeout_s: float = 10.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         persistent: bool = True,
-        wire_version: int = wire.WIRE_VERSION,
     ) -> None:
         if timeout_s <= 0:
             raise ConfigurationError("transport timeout must be positive")
-        if wire_version not in wire.SUPPORTED_WIRE_VERSIONS:
-            raise ConfigurationError(
-                f"unsupported wire version {wire_version!r}; this client "
-                f"speaks {wire.SUPPORTED_WIRE_VERSIONS}"
-            )
         self.host = host
         self.port = int(port)
         self.timeout_s = float(timeout_s)
         self.max_frame_bytes = int(max_frame_bytes)
         self.persistent = bool(persistent)
-        self.wire_version = int(wire_version)
         self.stats = TransportStats()
         self._sock: Optional[socket.socket] = None
         self._assembler: Optional[FrameAssembler] = None
@@ -280,9 +265,7 @@ class NetworkPlanTransport:
         registry = obs.get_registry()
         self.stats.requests += 1
         registry.inc("netclient.requests")
-        kind, message = self._exchange(
-            wire.encode_request(req, version=self.wire_version), req.vehicle_id
-        )
+        kind, message = self._exchange(wire.encode_request(req), req.vehicle_id)
         if kind == wire.RESPONSE_KIND:
             if message.vehicle_id != req.vehicle_id:
                 # A stale (duplicated or reordered) response: the stream
@@ -343,9 +326,7 @@ class NetworkPlanTransport:
 
     def health(self) -> wire.HealthStatus:
         """Probe the server's liveness and drain state."""
-        kind, message = self._exchange(
-            wire.encode_health_request(version=self.wire_version)
-        )
+        kind, message = self._exchange(wire.encode_health_request())
         if kind != wire.HEALTH_RESPONSE_KIND:
             self.close()
             raise CloudUnavailableError(
@@ -355,9 +336,7 @@ class NetworkPlanTransport:
 
     def server_stats(self) -> Dict[str, Any]:
         """Fetch the server's composed stats document."""
-        kind, message = self._exchange(
-            wire.encode_stats_request(version=self.wire_version)
-        )
+        kind, message = self._exchange(wire.encode_stats_request())
         if kind != wire.STATS_RESPONSE_KIND:
             self.close()
             raise CloudUnavailableError(

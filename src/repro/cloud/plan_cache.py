@@ -1,4 +1,4 @@
-"""Cache layer: a bounded, thread-safe LRU+TTL cache for served plans.
+"""Cache layer: a bounded, thread-safe LRU cache for served plans.
 
 :class:`PlanCache` replaces the serving stack's previously unbounded
 in-process dicts (the phase-keyed plan cache and both min-time memos of
@@ -7,19 +7,15 @@ primitive, mirroring the engine layer's
 :class:`~repro.core.engine.ArtifactStore`:
 
 * **bounded** — a capacity-bounded LRU; inserting past capacity evicts
-  the least-recently-used entry and counts it;
-* **TTL** — entries older than ``ttl_s`` (monotonic seconds since
-  insertion) are treated as absent: the lookup counts an expiration
-  *and* a miss, and the entry is dropped.  ``ttl_s=None`` disables
-  expiry (the service default — with fixed-time signals a cached plan
-  never goes stale by age, only by forecast updates, which call
-  :meth:`clear`);
+  the least-recently-used entry and counts it.  Entries never expire by
+  age: with fixed-time signals a cached plan goes stale only on a
+  forecast update, and that calls :meth:`clear`;
 * **thread-safe** — every operation holds an internal lock, so the
   dispatch layer's worker threads share one cache safely;
-* **counted** — hits, misses, expirations, evictions and revalidation
-  misses are tracked exactly (under the lock) and mirrored into
-  :mod:`repro.obs` under ``<name>.hits`` / ``.misses`` / ``.expirations``
-  / ``.evictions`` / ``.revalidation_misses``.
+* **counted** — hits, misses, evictions and revalidation misses are
+  tracked exactly (under the lock) and mirrored into :mod:`repro.obs`
+  under ``<name>.hits`` / ``.misses`` / ``.evictions`` /
+  ``.revalidation_misses``.
 
 Revalidation is a *serving* decision, not a lookup decision — the
 service re-checks a hit's shifted arrivals against the signal windows
@@ -30,15 +26,17 @@ and may reject it.  The cache only counts those rejections
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, List, Optional, Tuple
+from typing import Any, Hashable, List, Optional
 
 from repro import obs
 from repro.errors import ConfigurationError
 
 __all__ = ["CacheStats", "PlanCache"]
+
+#: What a lookup finds under a key that holds nothing (``None`` is a value).
+_ABSENT = object()
 
 
 @dataclass(frozen=True)
@@ -48,26 +46,21 @@ class CacheStats:
     Attributes:
         name: The cache's metrics namespace (e.g. ``"cloud.plan_cache"``).
         hits: Lookups answered from the cache.
-        misses: Lookups that found nothing usable (includes expirations).
-        expirations: Entries dropped because their TTL had lapsed; each
-            one is also counted as a miss.
+        misses: Lookups that found nothing.
         evictions: Entries dropped to respect the capacity bound.
         revalidation_misses: Hits the serving layer discarded after
             revalidating them against the signal windows.
         size: Entries currently held.
         capacity: The bound.
-        ttl_s: The expiry horizon (``None`` = no expiry).
     """
 
     name: str = ""
     hits: int = 0
     misses: int = 0
-    expirations: int = 0
     evictions: int = 0
     revalidation_misses: int = 0
     size: int = 0
     capacity: int = 0
-    ttl_s: Optional[float] = None
 
     @property
     def lookups(self) -> int:
@@ -85,49 +78,36 @@ class CacheStats:
             f"{self.hits} hit(s), {self.misses} miss(es), "
             f"{self.evictions} eviction(s), hit rate {self.hit_rate:.2f}"
         )
-        if self.expirations:
-            line += f", {self.expirations} expired"
         if self.revalidation_misses:
             line += f", {self.revalidation_misses} failed revalidation"
         return line
 
 
 class PlanCache:
-    """Bounded, thread-safe LRU+TTL cache keyed by hashable tuples.
+    """Bounded, thread-safe LRU cache keyed by hashable tuples.
 
     Args:
         capacity: Maximum entries held at once.  The service's plan
             cache holds one entry per ``(phase bin, budget bin)`` pair —
             a 60 s signal period at 1 s quanta and a handful of budget
             bins fits comfortably in the default.
-        ttl_s: Entry lifetime in (monotonic) seconds; ``None`` = no
-            expiry.
         name: Metrics namespace for the mirrored :mod:`repro.obs`
             counters; also reported in :class:`CacheStats`.
-        clock: Monotonic time source, injectable for tests; defaults to
-            :func:`time.monotonic`.
     """
 
     def __init__(
         self,
         capacity: int = 256,
-        ttl_s: Optional[float] = None,
         name: str = "cloud.plan_cache",
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if capacity < 1:
             raise ConfigurationError(f"cache capacity must be >= 1, got {capacity}")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ConfigurationError(f"cache TTL must be positive, got {ttl_s}")
         self.capacity = int(capacity)
-        self.ttl_s = None if ttl_s is None else float(ttl_s)
         self.name = name
-        self._clock = clock if clock is not None else time.monotonic
-        self._entries: "OrderedDict[Hashable, Tuple[Any, float]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        self._expirations = 0
         self._evictions = 0
         self._revalidation_misses = 0
 
@@ -136,54 +116,38 @@ class PlanCache:
             return len(self._entries)
 
     def peek(self, key: Hashable) -> Optional[Any]:
-        """The cached value with **no** side effects at all.
+        """The cached value (else ``None``) with **no** side effects at all.
 
-        Unlike :meth:`get`, nothing is counted, recency is not refreshed
-        and an expired entry is left in place (it merely reads as
-        absent), so inspecting the cache never changes its books.
+        Unlike :meth:`get`, nothing is counted and recency is not
+        refreshed, so inspecting the cache never changes its books.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or self._expired(entry[1]):
-                return None
-            return entry[0]
+            return self._entries.get(key)
 
     def keys(self) -> List[Hashable]:
         """The currently held keys, least-recently-used first."""
         with self._lock:
             return list(self._entries.keys())
 
-    def _expired(self, inserted_at: float) -> bool:
-        return self.ttl_s is not None and self._clock() - inserted_at > self.ttl_s
-
     def get(self, key: Hashable) -> Optional[Any]:
-        """The cached value (refreshing recency), else ``None``.
-
-        An entry past its TTL is dropped and counted as an expiration
-        plus a miss — from the caller's perspective it was never there.
-        """
+        """The cached value (refreshing recency), else ``None``."""
         registry = obs.get_registry()
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and self._expired(entry[1]):
-                del self._entries[key]
-                self._expirations += 1
-                registry.inc(f"{self.name}.expirations")
-                entry = None
-            if entry is None:
+            value = self._entries.get(key, _ABSENT)
+            if value is _ABSENT:
                 self._misses += 1
                 registry.inc(f"{self.name}.misses")
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
             registry.inc(f"{self.name}.hits")
-            return entry[0]
+            return value
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) one entry, evicting LRU overflow."""
         registry = obs.get_registry()
         with self._lock:
-            self._entries[key] = (value, self._clock())
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -208,10 +172,8 @@ class PlanCache:
                 name=self.name,
                 hits=self._hits,
                 misses=self._misses,
-                expirations=self._expirations,
                 evictions=self._evictions,
                 revalidation_misses=self._revalidation_misses,
                 size=len(self._entries),
                 capacity=self.capacity,
-                ttl_s=self.ttl_s,
             )

@@ -157,7 +157,6 @@ class ProcessBackend:
                 "default_budget_slack_s": service.default_budget_slack_s,
                 "validator": service.validator,
                 "cache_capacity": service.plan_cache.capacity,
-                "cache_ttl_s": service.plan_cache.ttl_s,
             },
         }
         ctx = mp.get_context()

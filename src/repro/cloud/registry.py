@@ -198,7 +198,6 @@ class CorridorCatalog:
             gets its *own* store — eviction pressure on one corridor's
             artifacts never touches another's.
         cache_capacity: Per-corridor plan/min-time cache bound.
-        cache_ttl_s: Optional TTL on the per-corridor caches.
         validator: Optional shared plan validator handed to every
             corridor's service (validators are stateless).
         service_kwargs: Extra keyword arguments for every corridor's
@@ -216,13 +215,11 @@ class CorridorCatalog:
         specs: Iterable[CorridorSpec] = (),
         store_capacity: int = 4,
         cache_capacity: int = 256,
-        cache_ttl_s: Optional[float] = None,
         validator=None,
         service_kwargs: Optional[dict] = None,
     ) -> None:
         self.store_capacity = int(store_capacity)
         self.cache_capacity = int(cache_capacity)
-        self.cache_ttl_s = cache_ttl_s
         self.validator = validator
         self.service_kwargs = dict(service_kwargs or {})
         self._mutex = threading.Lock()
@@ -306,7 +303,6 @@ class CorridorCatalog:
                 planner,
                 validator=self.validator,
                 cache_capacity=self.cache_capacity,
-                cache_ttl_s=self.cache_ttl_s,
                 name=f"cloud.{corridor_id}",
                 corridor_id=corridor_id,
                 **self.service_kwargs,

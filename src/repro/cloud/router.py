@@ -14,14 +14,11 @@ so every layer above it (:class:`~repro.cloud.dispatcher.PlanDispatcher`,
 Routing is deterministic: ``corridor_id`` hashes (CRC-32 — *not*
 Python's randomized ``hash``) to one of N shards, and the corridor's
 runtime (its own plan caches, artifact store, and corridor-bound
-service) is built lazily by the catalog on first touch.  Each shard can
-own a **dispatcher lane** (``lane_workers > 0``): a per-shard thread
-pool, so a storm of solves on one corridor's cold cache saturates only
-its own lane while other shards keep serving — per-shard isolation of
-serving concurrency, not just of state.  With ``lane_workers=0`` (the
-default) routing is a plain synchronous call, and a single-corridor
+service) is built lazily by the catalog on first touch.  Routing is a
+plain synchronous call in the caller's thread, so a single-corridor
 workload through the router is **bit-identical** to the direct service
-path (gated in ``benchmarks/bench_pr9.py``).
+path (gated in ``benchmarks/bench_pr9.py``); serving concurrency comes
+from a dispatcher or server stacked on top.
 
 Coalesce keys are prefixed with the corridor id, so a dispatcher sitting
 on top of the router can never coalesce two corridors' requests into one
@@ -38,7 +35,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.cloud.dispatcher import PlanDispatcher
 from repro.cloud.messages import PlanRequest, PlanResponse
 from repro.cloud.plan_cache import CacheStats
 from repro.cloud.registry import CorridorCatalog
@@ -88,26 +84,6 @@ class RouterStats:
             f"{self.shards} shard(s), "
             f"{self.corridors_built}/{self.corridors_registered} corridor(s) built"
         )
-
-
-class _LaneView:
-    """The duck-typed 'service' a shard's dispatcher lane calls into.
-
-    Lanes must serve *directly* (no re-entry into the lane layer), so
-    this view forwards to the router's direct-routing internals while
-    sharing its corridor-prefixed coalesce keys.
-    """
-
-    __slots__ = ("_router",)
-
-    def __init__(self, router: "PlanRouter") -> None:
-        self._router = router
-
-    def coalesce_key(self, req: PlanRequest):
-        return self._router.coalesce_key(req)
-
-    def request(self, req: PlanRequest) -> PlanResponse:
-        return self._router._request_direct(req)
 
 
 class _AggregateCaches:
@@ -169,51 +145,27 @@ class PlanRouter:
         shards: Shard count (>= 1).  Defaults to the number of
             registered corridors (each corridor its own shard, modulo
             CRC collisions).
-        lane_workers: Per-shard dispatcher-lane threads.  0 (default)
-            serves synchronously in the caller's thread — deterministic,
-            bit-identical to the direct service path.  > 0 gives each
-            shard its own pool with corridor-prefixed single-flight
-            coalescing.
         name: Metric namespace (``<name>.routed``, ``<name>.rejected``,
-            ``<name>.shard<i>.routed``, lane namespaces below it).
-
-    Use as a context manager, or call :meth:`shutdown` when lanes exist.
+            ``<name>.shard<i>.routed``).
     """
 
     def __init__(
         self,
         catalog: CorridorCatalog,
         shards: Optional[int] = None,
-        lane_workers: int = 0,
         name: str = "cloud.router",
     ) -> None:
         if shards is None:
             shards = max(1, len(catalog))
         if shards < 1:
             raise ConfigurationError(f"router needs >= 1 shard, got {shards}")
-        if lane_workers < 0:
-            raise ConfigurationError(
-                f"lane workers must be >= 0 (0 = synchronous), got {lane_workers}"
-            )
         self.catalog = catalog
         self.shards = int(shards)
-        self.lane_workers = int(lane_workers)
         self.name = name
         self._mutex = threading.Lock()
         self._routed = 0
         self._rejected = 0
         self._per_shard = [0] * self.shards
-        self._lanes: Tuple[PlanDispatcher, ...] = ()
-        if self.lane_workers > 0:
-            view = _LaneView(self)
-            self._lanes = tuple(
-                PlanDispatcher(
-                    view,
-                    workers=self.lane_workers,
-                    name=f"{name}.shard{i}.dispatch",
-                )
-                for i in range(self.shards)
-            )
 
     # ------------------------------------------------------------------
     # Routing
@@ -239,9 +191,6 @@ class PlanRouter:
         registry.inc(f"{self.name}.routed")
         registry.inc(f"{self.name}.shard{shard}.routed")
         return service
-
-    def _request_direct(self, req: PlanRequest) -> PlanResponse:
-        return self._resolve(req).request(req)
 
     # ------------------------------------------------------------------
     # The CloudPlannerService protocol
@@ -272,35 +221,19 @@ class PlanRouter:
             PlanningFailedError: The corridor's planner found the
                 request infeasible.
         """
-        if not self._lanes:
-            return self._request_direct(req)
-        return self._lanes[self.shard_of(req.corridor_id)].request(req)
+        return self._resolve(req).request(req)
 
     def request_batch(
         self, reqs: Sequence[PlanRequest]
     ) -> List[Union[PlanResponse, Exception]]:
-        """Serve many requests, results (or exceptions) in order.
-
-        Without lanes this is a loop of direct :meth:`request` calls.
-        With lanes, each request is submitted to its shard's dispatcher
-        (submission order preserved, so per-key leadership matches the
-        serial order) and the shards serve concurrently.
-        """
-        if not self._lanes:
-            outcomes: List[Union[PlanResponse, Exception]] = []
-            for req in reqs:
-                try:
-                    outcomes.append(self._request_direct(req))
-                except Exception as exc:  # noqa: BLE001 - mirrored to caller
-                    outcomes.append(exc)
-            return outcomes
-        futures = [
-            self._lanes[self.shard_of(req.corridor_id)].submit(req) for req in reqs
-        ]
-        outcomes = []
-        for future in futures:
+        """Serve many requests, results (or exceptions) in request order."""
+        outcomes: List[Union[PlanResponse, Exception]] = []
+        for req in reqs:
             try:
-                outcomes.append(future.result())
+                # Routed here, not through request(): servebench's tracer
+                # wraps both by name, and a nested router span per item
+                # would change cold_fleet's traced span tree.
+                outcomes.append(self._resolve(req).request(req))
             except Exception as exc:  # noqa: BLE001 - mirrored to caller
                 outcomes.append(exc)
         return outcomes
@@ -373,17 +306,3 @@ class PlanRouter:
                 rejected=self._rejected,
                 per_shard=tuple(self._per_shard),
             )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the shard lanes, if any (idempotent)."""
-        for lane in self._lanes:
-            lane.shutdown(wait=wait)
-
-    def __enter__(self) -> "PlanRouter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(wait=True)

@@ -53,7 +53,6 @@ from typing import Any, Dict, Optional, Tuple
 from repro import obs
 from repro.cloud import wire
 from repro.cloud.dispatcher import PlanDispatcher
-from repro.cloud.messages import DEFAULT_CORRIDOR_ID
 from repro.cloud.framing import DEFAULT_MAX_FRAME_BYTES, FrameAssembler, encode_frame
 from repro.cloud.service import CloudPlannerService
 from repro.cloud.stats import compose_stats_document
@@ -139,11 +138,6 @@ class PlanServer:
         stats_path: When set, the drain flushes the final stats
             document to this JSON file.
         name: Metrics namespace for :mod:`repro.obs` counters.
-        default_corridor_id: The corridor that version-1 wire clients
-            (whose requests carry no ``corridor_id``) are served
-            against.  Replies always speak the caller's wire dialect,
-            so a fleet of v1 clients keeps working across the sharding
-            upgrade unchanged.
     """
 
     def __init__(
@@ -160,7 +154,6 @@ class PlanServer:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         stats_path: Optional[str] = None,
         name: str = "cloud.server",
-        default_corridor_id: str = DEFAULT_CORRIDOR_ID,
     ) -> None:
         if max_pending < 1:
             raise ConfigurationError(
@@ -178,7 +171,6 @@ class PlanServer:
         self.max_frame_bytes = int(max_frame_bytes)
         self.stats_path = stats_path
         self.name = name
-        self.default_corridor_id = str(default_corridor_id)
         self._owns_dispatcher = dispatcher is None
         self.dispatcher = dispatcher or PlanDispatcher(
             service, workers=workers, name=f"{name}.dispatch"
@@ -330,7 +322,6 @@ class PlanServer:
         vehicle_id: str = "",
         queue_depth: Optional[int] = None,
         capacity: Optional[int] = None,
-        version: int = wire.WIRE_VERSION,
     ) -> bool:
         return await self._send(
             writer,
@@ -343,7 +334,6 @@ class PlanServer:
                     queue_depth=queue_depth,
                     capacity=capacity,
                 ),
-                version=version,
             ),
         )
 
@@ -407,16 +397,9 @@ class PlanServer:
         writer: asyncio.StreamWriter,
         registry: obs.MetricsRegistry,
     ) -> bool:
-        """Serve one well-framed payload; False tears down the connection.
-
-        Replies speak the caller's wire dialect: the decoded frame's
-        version is threaded into every response/error encode, so a v1
-        client never sees a v2 key it cannot parse.
-        """
+        """Serve one well-framed payload; False tears down the connection."""
         try:
-            kind, message, version = wire.decode_message_versioned(
-                payload, default_corridor_id=self.default_corridor_id
-            )
+            kind, message, _ = wire.decode_message_versioned(payload)
         except WireProtocolError as exc:
             # Payload-level garbage is contained: typed answer, and the
             # connection (whose framing is intact) lives on.
@@ -437,7 +420,6 @@ class PlanServer:
                         in_flight=self._in_flight,
                         capacity=self.max_pending,
                     ),
-                    version=version,
                 ),
             )
         if kind == wire.STATS_REQUEST_KIND:
@@ -445,12 +427,10 @@ class PlanServer:
             registry.inc(f"{self.name}.stats_requests")
             return await self._send(
                 writer,
-                wire.encode_stats_response(self.stats_document(), version=version),
+                wire.encode_stats_response(self.stats_document()),
             )
         if kind == wire.REQUEST_KIND:
-            return await self._handle_plan_request(
-                message, writer, registry, version
-            )
+            return await self._handle_plan_request(message, writer, registry)
         # A client pushing server->client kinds (responses, errors) is
         # off-protocol; answer typed and keep listening.
         self.stats.protocol_errors += 1
@@ -460,7 +440,6 @@ class PlanServer:
             wire.ERROR_PROTOCOL,
             f"unexpected {kind!r} message sent to a server",
             retryable=False,
-            version=version,
         )
 
     async def _handle_plan_request(
@@ -468,7 +447,6 @@ class PlanServer:
         req,
         writer: asyncio.StreamWriter,
         registry: obs.MetricsRegistry,
-        version: int = wire.WIRE_VERSION,
     ) -> bool:
         self.stats.plan_requests += 1
         registry.inc(f"{self.name}.plan_requests")
@@ -491,7 +469,6 @@ class PlanServer:
                 vehicle_id=req.vehicle_id,
                 queue_depth=self._in_flight,
                 capacity=self.max_pending,
-                version=version,
             )
         self._in_flight += 1
         self.stats.peak_in_flight = max(self.stats.peak_in_flight, self._in_flight)
@@ -513,7 +490,6 @@ class PlanServer:
                     f"{self.request_timeout_s:.2f} s serving deadline",
                     retryable=True,
                     vehicle_id=req.vehicle_id,
-                    version=version,
                 )
             except DispatchDeadlineError as exc:
                 self.stats.timeouts += 1
@@ -524,7 +500,6 @@ class PlanServer:
                     str(exc),
                     retryable=True,
                     vehicle_id=req.vehicle_id,
-                    version=version,
                 )
             except PlanningFailedError as exc:
                 self.stats.planning_failures += 1
@@ -535,7 +510,6 @@ class PlanServer:
                     str(exc),
                     retryable=False,
                     vehicle_id=req.vehicle_id,
-                    version=version,
                 )
             except InputValidationError as exc:
                 # The request parsed but violated the service contract
@@ -548,7 +522,6 @@ class PlanServer:
                     str(exc),
                     retryable=False,
                     vehicle_id=req.vehicle_id,
-                    version=version,
                 )
             except Exception as exc:  # noqa: BLE001 - contained per-request
                 self.stats.internal_errors += 1
@@ -559,16 +532,9 @@ class PlanServer:
                     f"{type(exc).__name__}: {exc}",
                     retryable=False,
                     vehicle_id=req.vehicle_id,
-                    version=version,
                 )
             return await self._send(
-                writer,
-                wire.encode_response(
-                    response,
-                    version=version,
-                    default_corridor_id=self.default_corridor_id,
-                ),
-                served=True,
+                writer, wire.encode_response(response), served=True
             )
         finally:
             self._in_flight -= 1

@@ -13,7 +13,7 @@ The service itself is deliberately thin.  It owns the serving *policy*
 (quantization, revalidation, budget defaults, the accounting invariant)
 and composes the mechanism layers:
 
-* :mod:`repro.cloud.plan_cache` — the bounded, thread-safe LRU+TTL
+* :mod:`repro.cloud.plan_cache` — the bounded, thread-safe LRU
   caches behind the phase cache and both min-time memos (previously
   three unbounded dicts);
 * :mod:`repro.cloud.dispatcher` — concurrency and request coalescing on
@@ -112,10 +112,9 @@ class CloudPlannerService:
             (accounted like any planner failure) so clients degrade
             instead of executing a degenerate profile.
         cache_capacity: Bound of each of the three serving caches (the
-            phase-keyed plan cache and both min-time memos).
-        cache_ttl_s: Optional TTL on cache entries (``None`` = no age
-            expiry; with fixed-time signals plans only go stale on
-            forecast updates, which call :meth:`clear_cache`).
+            phase-keyed plan cache and both min-time memos).  Entries
+            never expire by age: with fixed-time signals plans only go
+            stale on forecast updates, which call :meth:`clear_cache`.
         name: Metric namespace of this service's counters and caches
             (``<name>.requests``, ``<name>.plan_cache.hits``, …).  The
             default preserves the historical ``cloud.*`` names; a
@@ -138,7 +137,6 @@ class CloudPlannerService:
         default_budget_slack_s: float = 30.0,
         validator: Optional[PlanValidator] = None,
         cache_capacity: int = 256,
-        cache_ttl_s: Optional[float] = None,
         name: str = "cloud",
         corridor_id: str = DEFAULT_CORRIDOR_ID,
     ) -> None:
@@ -158,13 +156,13 @@ class CloudPlannerService:
         self.stats = ServiceStats()
         self._mutex = threading.Lock()
         self.plan_cache = PlanCache(
-            capacity=cache_capacity, ttl_s=cache_ttl_s, name=f"{self.name}.plan_cache"
+            capacity=cache_capacity, name=f"{self.name}.plan_cache"
         )
         self.min_time_cache = PlanCache(
-            capacity=cache_capacity, ttl_s=cache_ttl_s, name=f"{self.name}.min_time_cache"
+            capacity=cache_capacity, name=f"{self.name}.min_time_cache"
         )
         self.min_time_exact = PlanCache(
-            capacity=cache_capacity, ttl_s=cache_ttl_s, name=f"{self.name}.min_time_exact"
+            capacity=cache_capacity, name=f"{self.name}.min_time_exact"
         )
         self._period_s = self._common_signal_period()
         self._cacheable = self._period_s is not None and not self._rates_time_varying()

@@ -25,7 +25,7 @@ from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 #: Document schema tag; bump on incompatible layout changes.
-STATS_SCHEMA = "repro.cloud.stats/v1"
+STATS_SCHEMA = "repro.cloud.stats/v2"
 
 __all__ = ["STATS_SCHEMA", "compose_stats_document"]
 
@@ -58,7 +58,6 @@ def _client_section(client) -> Dict[str, Any]:
         "fast_fails": stats.fast_fails,
         "transport_errors": stats.transport_errors,
         "busy_rejections": stats.busy_rejections,
-        "wire_roundtrips": stats.wire_roundtrips,
         "breaker_state": stats.breaker_state,
         "breaker_opens": stats.breaker_opens,
     }

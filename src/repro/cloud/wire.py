@@ -34,21 +34,12 @@ error type.
 
 Version policy: ``wire_version`` is bumped only for **incompatible**
 schema changes (a removed/renamed key, a semantic change to an existing
-key).  Decoders accept exactly the versions they implement and reject
-everything else loudly — there is no silent best-effort parsing of
-foreign versions; a rolling fleet upgrade keeps old decoders alive until
-no old producer remains.
-
-Version 2 added ``corridor_id`` to plan requests and responses (the
-routing key of the sharded serving stack).  Both versions stay decodable
-(:data:`SUPPORTED_WIRE_VERSIONS`): a version-1 request carries no
-corridor, so it decodes to the configurable ``default_corridor_id``
-(:data:`~repro.cloud.messages.DEFAULT_CORRIDOR_ID` unless the caller
-says otherwise) — old vehicles keep being served against the original
-corridor.  Encoders emit version 2 by default but can render version-1
-bytes (``version=1``) so a server can answer a v1 client in its own
-dialect; encoding a *non-default-corridor* message at version 1 is
-refused, because those bytes would silently drop the routing key.
+key).  The decoder accepts exactly the version it implements and
+rejects everything else loudly — there is no silent best-effort parsing
+of foreign versions.  Version 2 added ``corridor_id`` to plan requests
+and responses (the routing key of the sharded serving stack); a
+version-1 payload is refused like any other unknown version, with a
+typed error naming ``wire_version``.
 """
 
 from __future__ import annotations
@@ -61,12 +52,11 @@ from typing import Any, Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.profile import VelocityProfile
-from repro.cloud.messages import DEFAULT_CORRIDOR_ID, PlanRequest, PlanResponse
+from repro.cloud.messages import PlanRequest, PlanResponse
 from repro.errors import ConfigurationError, WireProtocolError
 
 __all__ = [
     "WIRE_VERSION",
-    "SUPPORTED_WIRE_VERSIONS",
     "ERROR_BUSY",
     "ERROR_INTERNAL",
     "ERROR_PLANNING_FAILED",
@@ -95,12 +85,9 @@ __all__ = [
     "roundtrip_response",
 ]
 
-#: Current wire schema version; see the module docstring for the bump policy.
+#: The wire schema version, the only one this codec speaks; see the module
+#: docstring for the bump policy.
 WIRE_VERSION = 2
-
-#: Versions this decoder still speaks.  Version 1 predates ``corridor_id``;
-#: its plan messages decode against a configurable default corridor.
-SUPPORTED_WIRE_VERSIONS = (1, 2)
 
 #: ``kind`` tags distinguishing the message types on the wire.
 REQUEST_KIND = "plan_request"
@@ -127,19 +114,14 @@ _ERROR_CODES = (
 HEALTH_OK = "ok"
 HEALTH_DRAINING = "draining"
 
-# Plan-message key sets by wire version: version 2 added ``corridor_id``.
-_REQUEST_KEYS_V1 = {
+_REQUEST_KEYS = {
     "wire_version", "kind", "vehicle_id", "depart_s", "max_trip_time_s",
-    "position_m", "speed_ms", "minimize",
+    "position_m", "speed_ms", "minimize", "corridor_id",
 }
-_REQUEST_KEYS = _REQUEST_KEYS_V1 | {"corridor_id"}
-_REQUEST_KEYS_BY_VERSION = {1: _REQUEST_KEYS_V1, 2: _REQUEST_KEYS}
-_RESPONSE_KEYS_V1 = {
+_RESPONSE_KEYS = {
     "wire_version", "kind", "vehicle_id", "profile", "energy_mah",
-    "trip_time_s", "cache_hit", "compute_time_s",
+    "trip_time_s", "cache_hit", "compute_time_s", "corridor_id",
 }
-_RESPONSE_KEYS = _RESPONSE_KEYS_V1 | {"corridor_id"}
-_RESPONSE_KEYS_BY_VERSION = {1: _RESPONSE_KEYS_V1, 2: _RESPONSE_KEYS}
 _PROFILE_KEYS = {"positions_m", "speeds_ms", "dwell_s", "start_time_s"}
 _ERROR_KEYS = {
     "wire_version", "kind", "code", "message", "retryable", "vehicle_id",
@@ -180,52 +162,23 @@ def _check_keys(payload: Dict[str, Any], expected: set, what: str) -> None:
         )
 
 
-def _check_version(payload: Dict[str, Any], what: str) -> int:
+def _check_version(payload: Dict[str, Any], what: str) -> None:
     version = payload.get("wire_version")
-    if version not in SUPPORTED_WIRE_VERSIONS:
+    if version != WIRE_VERSION:
         raise WireProtocolError(
             f"{what} has wire_version {version!r}; this decoder speaks "
-            f"versions {SUPPORTED_WIRE_VERSIONS} only",
+            f"version {WIRE_VERSION} only",
             field="wire_version",
             version=version,
         )
-    return version
 
 
-def _check_version_and_kind(payload: Dict[str, Any], kind: str, what: str) -> int:
-    version = _check_version(payload, what)
+def _check_version_and_kind(payload: Dict[str, Any], kind: str, what: str) -> None:
+    _check_version(payload, what)
     if payload.get("kind") != kind:
         raise WireProtocolError(
             f"{what} has kind {payload.get('kind')!r}, expected {kind!r}",
             field="kind",
-        )
-    return version
-
-
-def _check_encode_version(
-    version: int, corridor_id: str, what: str, default_corridor_id: str
-) -> None:
-    """Refuse encodings that would silently lose the routing key.
-
-    Version-1 bytes carry no ``corridor_id``; dropping it is only safe
-    when the peer's configured default corridor would restore exactly
-    the corridor being dropped.
-    """
-    if version not in SUPPORTED_WIRE_VERSIONS:
-        raise WireProtocolError(
-            f"cannot encode {what} at wire_version {version!r}; this encoder "
-            f"speaks versions {SUPPORTED_WIRE_VERSIONS} only",
-            field="wire_version",
-            version=version,
-        )
-    if version < 2 and corridor_id != default_corridor_id:
-        raise WireProtocolError(
-            f"cannot encode {what} for corridor {corridor_id!r} at "
-            "wire_version 1: version-1 bytes carry no corridor_id, so the "
-            f"routing key would be silently replaced by the default "
-            f"({default_corridor_id!r})",
-            field="corridor_id",
-            version=version,
         )
 
 
@@ -352,20 +305,10 @@ def profile_from_dict(payload: Dict[str, Any]) -> VelocityProfile:
 # ----------------------------------------------------------------------
 # PlanRequest <-> dict <-> bytes
 # ----------------------------------------------------------------------
-def request_to_dict(
-    req: PlanRequest,
-    version: int = WIRE_VERSION,
-    default_corridor_id: str = DEFAULT_CORRIDOR_ID,
-) -> Dict[str, Any]:
-    """A :class:`PlanRequest` as a plain, versioned JSON-ready dict.
-
-    ``version=1`` renders the pre-corridor dialect (for talking to an
-    old server); that is only legal when the request's corridor matches
-    ``default_corridor_id``, because v1 bytes carry no routing key.
-    """
-    _check_encode_version(version, req.corridor_id, "plan request", default_corridor_id)
-    document = {
-        "wire_version": version,
+def request_to_dict(req: PlanRequest) -> Dict[str, Any]:
+    """A :class:`PlanRequest` as a plain, versioned JSON-ready dict."""
+    return {
+        "wire_version": WIRE_VERSION,
         "kind": REQUEST_KIND,
         "vehicle_id": req.vehicle_id,
         "depart_s": float(req.depart_s),
@@ -375,25 +318,16 @@ def request_to_dict(
         "position_m": float(req.position_m),
         "speed_ms": float(req.speed_ms),
         "minimize": req.minimize,
+        "corridor_id": req.corridor_id,
     }
-    if version >= 2:
-        document["corridor_id"] = req.corridor_id
-    return document
 
 
-def request_from_dict(
-    payload: Dict[str, Any],
-    default_corridor_id: str = DEFAULT_CORRIDOR_ID,
-) -> PlanRequest:
-    """Rebuild a :class:`PlanRequest` from its dict form, strictly.
-
-    A version-1 payload (no ``corridor_id`` key) decodes against
-    ``default_corridor_id``; a version-2 payload must carry its corridor.
-    """
+def request_from_dict(payload: Dict[str, Any]) -> PlanRequest:
+    """Rebuild a :class:`PlanRequest` from its dict form, strictly."""
     payload = _require_mapping(payload, "plan request")
-    version = _check_version_and_kind(payload, REQUEST_KIND, "plan request")
-    _check_keys(payload, _REQUEST_KEYS_BY_VERSION[version], "plan request")
-    corridor_id = payload.get("corridor_id", default_corridor_id)
+    _check_version_and_kind(payload, REQUEST_KIND, "plan request")
+    _check_keys(payload, _REQUEST_KEYS, "plan request")
+    corridor_id = payload["corridor_id"]
     if not isinstance(corridor_id, str):
         raise WireProtocolError(
             f"plan request corridor_id must be a string, got {type(corridor_id).__name__}",
@@ -434,19 +368,12 @@ def request_from_dict(
         raise WireProtocolError(f"plan request violates its contract: {exc}") from exc
 
 
-def encode_request(
-    req: PlanRequest,
-    version: int = WIRE_VERSION,
-    default_corridor_id: str = DEFAULT_CORRIDOR_ID,
-) -> bytes:
+def encode_request(req: PlanRequest) -> bytes:
     """Canonical JSON bytes of a request (equal requests → equal bytes)."""
-    return _dumps(request_to_dict(req, version, default_corridor_id), "plan request")
+    return _dumps(request_to_dict(req), "plan request")
 
 
-def decode_request(
-    data: Union[bytes, bytearray, str],
-    default_corridor_id: str = DEFAULT_CORRIDOR_ID,
-) -> PlanRequest:
+def decode_request(data: Union[bytes, bytearray, str]) -> PlanRequest:
     """Parse and validate wire bytes into a :class:`PlanRequest`.
 
     Raises:
@@ -454,29 +381,20 @@ def decode_request(
             ``kind``, missing/unknown keys, mistyped or non-finite
             fields, or a payload violating the request contract.
     """
-    return request_from_dict(_loads(data, "plan request"), default_corridor_id)
+    return request_from_dict(_loads(data, "plan request"))
 
 
 # ----------------------------------------------------------------------
 # PlanResponse <-> dict <-> bytes
 # ----------------------------------------------------------------------
-def response_to_dict(
-    resp: PlanResponse,
-    version: int = WIRE_VERSION,
-    default_corridor_id: str = DEFAULT_CORRIDOR_ID,
-) -> Dict[str, Any]:
+def response_to_dict(resp: PlanResponse) -> Dict[str, Any]:
     """A :class:`PlanResponse` as a plain, versioned JSON-ready dict.
 
     ``profile`` may be ``None`` (degraded tiers can answer without one);
-    it is encoded as JSON ``null``.  ``version=1`` renders the
-    pre-corridor dialect for answering v1 clients; legal only when the
-    response's corridor matches ``default_corridor_id``.
+    it is encoded as JSON ``null``.
     """
-    _check_encode_version(
-        version, resp.corridor_id, "plan response", default_corridor_id
-    )
-    document = {
-        "wire_version": version,
+    return {
+        "wire_version": WIRE_VERSION,
         "kind": RESPONSE_KIND,
         "vehicle_id": resp.vehicle_id,
         "profile": None if resp.profile is None else profile_to_dict(resp.profile),
@@ -484,21 +402,16 @@ def response_to_dict(
         "trip_time_s": float(resp.trip_time_s),
         "cache_hit": bool(resp.cache_hit),
         "compute_time_s": float(resp.compute_time_s),
+        "corridor_id": resp.corridor_id,
     }
-    if version >= 2:
-        document["corridor_id"] = resp.corridor_id
-    return document
 
 
-def response_from_dict(
-    payload: Dict[str, Any],
-    default_corridor_id: str = DEFAULT_CORRIDOR_ID,
-) -> PlanResponse:
+def response_from_dict(payload: Dict[str, Any]) -> PlanResponse:
     """Rebuild a :class:`PlanResponse` from its dict form, strictly."""
     payload = _require_mapping(payload, "plan response")
-    version = _check_version_and_kind(payload, RESPONSE_KIND, "plan response")
-    _check_keys(payload, _RESPONSE_KEYS_BY_VERSION[version], "plan response")
-    corridor_id = payload.get("corridor_id", default_corridor_id)
+    _check_version_and_kind(payload, RESPONSE_KIND, "plan response")
+    _check_keys(payload, _RESPONSE_KEYS, "plan response")
+    corridor_id = payload["corridor_id"]
     if not isinstance(corridor_id, str) or not corridor_id:
         raise WireProtocolError(
             "plan response corridor_id must be a non-empty string",
@@ -529,26 +442,19 @@ def response_from_dict(
     )
 
 
-def encode_response(
-    resp: PlanResponse,
-    version: int = WIRE_VERSION,
-    default_corridor_id: str = DEFAULT_CORRIDOR_ID,
-) -> bytes:
+def encode_response(resp: PlanResponse) -> bytes:
     """Canonical JSON bytes of a response (equal responses → equal bytes)."""
-    return _dumps(response_to_dict(resp, version, default_corridor_id), "plan response")
+    return _dumps(response_to_dict(resp), "plan response")
 
 
-def decode_response(
-    data: Union[bytes, bytearray, str],
-    default_corridor_id: str = DEFAULT_CORRIDOR_ID,
-) -> PlanResponse:
+def decode_response(data: Union[bytes, bytearray, str]) -> PlanResponse:
     """Parse and validate wire bytes into a :class:`PlanResponse`.
 
     Raises:
         WireProtocolError: Broken JSON, unknown ``wire_version``, wrong
             ``kind``, missing/unknown keys, or mistyped/non-finite fields.
     """
-    return response_from_dict(_loads(data, "plan response"), default_corridor_id)
+    return response_from_dict(_loads(data, "plan response"))
 
 
 # ----------------------------------------------------------------------
@@ -578,15 +484,10 @@ class ErrorFrame:
     capacity: Optional[int] = None
 
 
-def error_to_dict(err: ErrorFrame, version: int = WIRE_VERSION) -> Dict[str, Any]:
-    """An :class:`ErrorFrame` as a plain, versioned JSON-ready dict.
-
-    The error-frame schema is identical in every supported version; the
-    ``version`` parameter only stamps the dialect the peer speaks.
-    """
-    _check_encode_version(version, DEFAULT_CORRIDOR_ID, "error frame", DEFAULT_CORRIDOR_ID)
+def error_to_dict(err: ErrorFrame) -> Dict[str, Any]:
+    """An :class:`ErrorFrame` as a plain, versioned JSON-ready dict."""
     return {
-        "wire_version": version,
+        "wire_version": WIRE_VERSION,
         "kind": ERROR_KIND,
         "code": err.code,
         "message": err.message,
@@ -633,9 +534,9 @@ def error_from_dict(payload: Dict[str, Any]) -> ErrorFrame:
     )
 
 
-def encode_error(err: ErrorFrame, version: int = WIRE_VERSION) -> bytes:
+def encode_error(err: ErrorFrame) -> bytes:
     """Canonical JSON bytes of an error frame."""
-    return _dumps(error_to_dict(err, version), "error frame")
+    return _dumps(error_to_dict(err), "error frame")
 
 
 # ----------------------------------------------------------------------
@@ -662,23 +563,17 @@ class HealthStatus:
         return self.status == HEALTH_DRAINING
 
 
-def encode_health_request(version: int = WIRE_VERSION) -> bytes:
+def encode_health_request() -> bytes:
     """Canonical JSON bytes of a health probe."""
-    _check_encode_version(
-        version, DEFAULT_CORRIDOR_ID, "health request", DEFAULT_CORRIDOR_ID
-    )
     return _dumps(
-        {"wire_version": version, "kind": HEALTH_REQUEST_KIND}, "health request"
+        {"wire_version": WIRE_VERSION, "kind": HEALTH_REQUEST_KIND}, "health request"
     )
 
 
-def health_to_dict(health: HealthStatus, version: int = WIRE_VERSION) -> Dict[str, Any]:
+def health_to_dict(health: HealthStatus) -> Dict[str, Any]:
     """A :class:`HealthStatus` as a plain, versioned JSON-ready dict."""
-    _check_encode_version(
-        version, DEFAULT_CORRIDOR_ID, "health response", DEFAULT_CORRIDOR_ID
-    )
     return {
-        "wire_version": version,
+        "wire_version": WIRE_VERSION,
         "kind": HEALTH_RESPONSE_KIND,
         "status": health.status,
         "in_flight": int(health.in_flight),
@@ -708,22 +603,19 @@ def health_from_dict(payload: Dict[str, Any]) -> HealthStatus:
     )
 
 
-def encode_health_response(health: HealthStatus, version: int = WIRE_VERSION) -> bytes:
+def encode_health_response(health: HealthStatus) -> bytes:
     """Canonical JSON bytes of a health answer."""
-    return _dumps(health_to_dict(health, version), "health response")
+    return _dumps(health_to_dict(health), "health response")
 
 
-def encode_stats_request(version: int = WIRE_VERSION) -> bytes:
+def encode_stats_request() -> bytes:
     """Canonical JSON bytes of a stats probe."""
-    _check_encode_version(
-        version, DEFAULT_CORRIDOR_ID, "stats request", DEFAULT_CORRIDOR_ID
-    )
     return _dumps(
-        {"wire_version": version, "kind": STATS_REQUEST_KIND}, "stats request"
+        {"wire_version": WIRE_VERSION, "kind": STATS_REQUEST_KIND}, "stats request"
     )
 
 
-def encode_stats_response(document: Dict[str, Any], version: int = WIRE_VERSION) -> bytes:
+def encode_stats_response(document: Dict[str, Any]) -> bytes:
     """Canonical JSON bytes wrapping one composed stats document.
 
     The document itself is schema-tagged
@@ -731,12 +623,9 @@ def encode_stats_response(document: Dict[str, Any], version: int = WIRE_VERSION)
     it is a JSON object with finite numbers.
     """
     _require_mapping(document, "stats document")
-    _check_encode_version(
-        version, DEFAULT_CORRIDOR_ID, "stats response", DEFAULT_CORRIDOR_ID
-    )
     return _dumps(
         {
-            "wire_version": version,
+            "wire_version": WIRE_VERSION,
             "kind": STATS_RESPONSE_KIND,
             "document": document,
         },
@@ -757,13 +646,11 @@ def stats_from_dict(payload: Dict[str, Any]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 def decode_message_versioned(
     data: Union[bytes, bytearray, str],
-    default_corridor_id: str = DEFAULT_CORRIDOR_ID,
 ) -> Tuple[str, Any, int]:
-    """Parse any wire payload; dispatch on ``kind``, report the dialect.
+    """Parse any wire payload; dispatch on ``kind``, report the version.
 
     The server's per-frame entry point: one JSON parse, one version
-    check, then the kind-specific strict decoder.  The returned version
-    lets the server answer a version-1 vehicle in version-1 bytes.
+    check, then the kind-specific strict decoder.
 
     Returns:
         ``(kind, message, version)`` where ``message`` is a
@@ -771,43 +658,41 @@ def decode_message_versioned(
         :class:`HealthStatus`, a stats document dict, or ``None`` for
         the bodyless request kinds (``health_request``,
         ``stats_request``), and ``version`` is the payload's
-        ``wire_version`` (one of :data:`SUPPORTED_WIRE_VERSIONS`).
+        ``wire_version`` — always :data:`WIRE_VERSION`, the only one
+        that decodes.
 
     Raises:
-        WireProtocolError: Broken JSON, unsupported ``wire_version``,
-            unknown ``kind``, or a payload failing its kind's schema.
+        WireProtocolError: Broken JSON, a ``wire_version`` other than
+            :data:`WIRE_VERSION`, unknown ``kind``, or a payload failing
+            its kind's schema.
     """
     payload = _require_mapping(_loads(data, "wire message"), "wire message")
-    version = _check_version(payload, "wire message")
+    _check_version(payload, "wire message")
     kind = payload.get("kind")
     if kind == REQUEST_KIND:
-        return kind, request_from_dict(payload, default_corridor_id), version
+        return kind, request_from_dict(payload), WIRE_VERSION
     if kind == RESPONSE_KIND:
-        return kind, response_from_dict(payload, default_corridor_id), version
+        return kind, response_from_dict(payload), WIRE_VERSION
     if kind == ERROR_KIND:
-        return kind, error_from_dict(payload), version
+        return kind, error_from_dict(payload), WIRE_VERSION
     if kind == HEALTH_RESPONSE_KIND:
-        return kind, health_from_dict(payload), version
+        return kind, health_from_dict(payload), WIRE_VERSION
     if kind == STATS_RESPONSE_KIND:
-        return kind, stats_from_dict(payload), version
+        return kind, stats_from_dict(payload), WIRE_VERSION
     if kind == HEALTH_REQUEST_KIND:
         _check_keys(payload, _HEALTH_REQUEST_KEYS, "health request")
-        return kind, None, version
+        return kind, None, WIRE_VERSION
     if kind == STATS_REQUEST_KIND:
         _check_keys(payload, _STATS_REQUEST_KEYS, "stats request")
-        return kind, None, version
+        return kind, None, WIRE_VERSION
     raise WireProtocolError(
         f"wire message has unknown kind {kind!r}", field="kind"
     )
 
 
-def decode_message(
-    data: Union[bytes, bytearray, str],
-    default_corridor_id: str = DEFAULT_CORRIDOR_ID,
-) -> Tuple[str, Any]:
-    """:func:`decode_message_versioned` without the dialect — for callers
-    (like the client's reply parser) that don't answer in kind."""
-    kind, message, _ = decode_message_versioned(data, default_corridor_id)
+def decode_message(data: Union[bytes, bytearray, str]) -> Tuple[str, Any]:
+    """:func:`decode_message_versioned` without the version."""
+    kind, message, _ = decode_message_versioned(data)
     return kind, message
 
 

@@ -206,7 +206,7 @@ class TransitionPairs:
         seg, j, j2 = np.nonzero(mask)
         dt_s = travel_s[seg, j, j2]
         dt_s += dwell_at[seg]
-        ends = np.cumsum(np.bincount(seg * n_v + j, minlength=n_seg * n_v))
+        ends = np.cumsum(mask.sum(axis=2))
         offsets = np.empty((n_seg, n_v + 1), dtype=np.int64)
         offsets[:, 1:] = ends.reshape(n_seg, n_v)
         offsets[0, 0] = 0

@@ -15,11 +15,19 @@ bounded by the bucket growth factor, tightened by linear interpolation
 inside the winning bucket) — there is no numpy percentile over raw
 samples on any hot path, and memory per histogram is a fixed bucket
 array regardless of sample count.
+
+A registry is shared by every thread that records into it (dispatcher
+workers, the server's event loop).  Enabled-mode updates, :meth:`reset`
+and :meth:`snapshot` hold one lock, so no update is lost and a snapshot
+never iterates a dict another thread is growing.  Each thread nests its
+spans on its own stack: a span opened on a worker never becomes the
+parent of another thread's span.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -249,6 +257,13 @@ class SpanStats:
         return out
 
 
+class _SpanStacks(threading.local):
+    """The open spans of each thread, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+
+
 class MetricsRegistry:
     """Named counters, gauges, histograms and span aggregates.
 
@@ -259,11 +274,17 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
+        self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._spans: Dict[str, SpanStats] = {}
-        self._span_stack: List[Span] = []
+        self._stacks = _SpanStacks()
+
+    @property
+    def _span_stack(self) -> List[Span]:
+        """The calling thread's open spans, innermost last."""
+        return self._stacks.stack
 
     # ------------------------------------------------------------------
     # Recording
@@ -272,22 +293,25 @@ class MetricsRegistry:
         """Add ``amount`` to the named counter (created at zero)."""
         if not self.enabled:
             return
-        self._counters[name] = self._counters.get(name, 0) + amount
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + amount
 
     def gauge(self, name: str, value: float) -> None:
         """Set the named gauge to its latest value."""
         if not self.enabled:
             return
-        self._gauges[name] = value
+        with self._lock:
+            self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record one sample into the named histogram."""
         if not self.enabled:
             return
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = Histogram()
-        hist.observe(value)
+        with self._lock:
+            hist = self._histograms.get(name)
+            if hist is None:
+                hist = self._histograms[name] = Histogram()
+            hist.observe(value)
 
     def span(self, name: str, **fields):
         """Open a timing span; returns a no-op when disabled."""
@@ -298,10 +322,11 @@ class MetricsRegistry:
     def _record_span(self, span: Span) -> None:
         if not self.enabled:
             return
-        stats = self._spans.get(span.path)
-        if stats is None:
-            stats = self._spans[span.path] = SpanStats(span.path)
-        stats.record(span.duration_s, span.fields)
+        with self._lock:
+            stats = self._spans.get(span.path)
+            if stats is None:
+                stats = self._spans[span.path] = SpanStats(span.path)
+            stats.record(span.duration_s, span.fields)
 
     # ------------------------------------------------------------------
     # Access / lifecycle
@@ -324,30 +349,36 @@ class MetricsRegistry:
 
     def span_paths(self) -> List[str]:
         """All span paths with at least one finished span, sorted."""
-        return sorted(self._spans)
+        with self._lock:
+            return sorted(self._spans)
 
     def reset(self) -> None:
-        """Drop all recorded metrics (the enabled flag is untouched)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._spans.clear()
-        self._span_stack.clear()
+        """Drop all recorded metrics and every thread's open spans.
+
+        The enabled flag is untouched.
+        """
+        with self._lock:
+            self._counters.clear()
+            self._gauges.clear()
+            self._histograms.clear()
+            self._spans.clear()
+            self._stacks = _SpanStacks()
 
     def snapshot(self) -> Dict[str, object]:
         """Full registry contents as one JSON-serializable dict."""
-        return {
-            "counters": dict(sorted(self._counters.items())),
-            "gauges": dict(sorted(self._gauges.items())),
-            "histograms": {
-                name: hist.snapshot()
-                for name, hist in sorted(self._histograms.items())
-            },
-            "spans": {
-                path: stats.snapshot()
-                for path, stats in sorted(self._spans.items())
-            },
-        }
+        with self._lock:
+            return {
+                "counters": dict(sorted(self._counters.items())),
+                "gauges": dict(sorted(self._gauges.items())),
+                "histograms": {
+                    name: hist.snapshot()
+                    for name, hist in sorted(self._histograms.items())
+                },
+                "spans": {
+                    path: stats.snapshot()
+                    for path, stats in sorted(self._spans.items())
+                },
+            }
 
 
 # ----------------------------------------------------------------------

@@ -25,14 +25,9 @@ both in :class:`ClientStats` and the active :mod:`repro.obs` registry.
 
 With no fault model attached the client is a pure pass-through — the
 service sees exactly the requests it would have seen without the client.
-
-With ``wire_roundtrip=True`` every request is encoded to canonical wire
-bytes and decoded back before it reaches the service, and every response
-makes the same trip on the way out — the realistic serialization
-boundary of a deployed vehicle↔cloud link.  The codec is bit-exact
-(:mod:`repro.cloud.wire`), so results are unchanged; what it buys is
-coverage: any non-wire-representable message fails loudly at the client
-instead of silently crossing a boundary a real deployment could not.
+To put a real serialization boundary under it, wrap a
+:class:`~repro.cloud.netclient.NetworkPlanTransport` instead of the
+service itself.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro import obs
-from repro.cloud import wire
 from repro.cloud.messages import PlanRequest, PlanResponse
 from repro.cloud.service import CloudPlannerService
 from repro.errors import (
@@ -85,8 +79,6 @@ class ClientStats:
             timing out, resetting, or being shed); retried like drops.
         busy_rejections: The subset of ``transport_errors`` that were
             typed BUSY sheds (:class:`ServerOverloadError`).
-        wire_roundtrips: Messages round-tripped through the wire codec
-            (requests and responses each count one).
         breaker_state: Current breaker state.
         transitions: Breaker history as ``(now_s, from, to)`` tuples.
     """
@@ -102,7 +94,6 @@ class ClientStats:
     fast_fails: int = 0
     transport_errors: int = 0
     busy_rejections: int = 0
-    wire_roundtrips: int = 0
     breaker_state: str = BREAKER_CLOSED
     transitions: List[Tuple[float, str, str]] = field(default_factory=list)
 
@@ -129,8 +120,6 @@ class ResilientPlanClient:
             breaker open.
         breaker_cooldown_s: Simulated seconds the breaker stays open
             before admitting a half-open probe.
-        wire_roundtrip: Encode/decode every request and response through
-            the canonical wire codec (bit-exact; results unchanged).
     """
 
     def __init__(
@@ -144,7 +133,6 @@ class ResilientPlanClient:
         backoff_jitter: float = 0.5,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 60.0,
-        wire_roundtrip: bool = False,
     ) -> None:
         if deadline_s <= 0:
             raise ConfigurationError("request deadline must be positive")
@@ -167,7 +155,6 @@ class ResilientPlanClient:
         self.backoff_jitter = float(backoff_jitter)
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
-        self.wire_roundtrip = bool(wire_roundtrip)
         self.stats = ClientStats()
         self._request_index = 0
         self._consecutive_failures = 0
@@ -289,12 +276,6 @@ class ResilientPlanClient:
                 reason="breaker_open",
             )
 
-        if self.wire_roundtrip:
-            # Build the upload payload once; retries re-send the same bytes.
-            req = wire.roundtrip_request(req)
-            self.stats.wire_roundtrips += 1
-            registry.inc("resilience.wire_roundtrips")
-
         elapsed = 0.0
         reason = "drop"
         attempts_allowed = (
@@ -366,10 +347,6 @@ class ResilientPlanClient:
             self.stats.served += 1
             registry.observe("resilience.request_elapsed_s", elapsed)
             self._record_success(t + elapsed)
-            if self.wire_roundtrip:
-                response = wire.roundtrip_response(response)
-                self.stats.wire_roundtrips += 1
-                registry.inc("resilience.wire_roundtrips")
             return response
 
         self.stats.failures += 1

@@ -416,22 +416,6 @@ class TestFleetConcurrency:
         assert threaded.dispatch.in_flight == 0
         assert serial.dispatch is None
 
-    def test_wire_roundtrip_fleet_is_bit_identical(self, us25, coarse_config):
-        def build():
-            planner = QueueAwareDpPlanner(
-                us25, arrival_rates=RATE, config=coarse_config
-            )
-            return CloudPlannerService(planner)
-
-        plain = FleetStudy(build(), us25, fleet_rate_vph=60.0, seed=3).run(
-            duration_s=600.0
-        )
-        wired = FleetStudy(
-            build(), us25, fleet_rate_vph=60.0, seed=3, workers=2, wire_roundtrip=True
-        ).run(duration_s=600.0)
-        assert wired.planned_energy_mah == plain.planned_energy_mah
-        assert wired.mean_trip_time_s == plain.mean_trip_time_s
-
     def test_fleet_result_stats_are_snapshots(self, us25, coarse_config):
         planner = QueueAwareDpPlanner(us25, arrival_rates=RATE, config=coarse_config)
         service = CloudPlannerService(planner)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 
 import pytest
 
@@ -140,6 +142,60 @@ class TestSpans:
         with reg.span("b"):
             pass
         assert reg.span_stats("b") is not None  # not "a.b"
+
+
+class TestThreads:
+    """One registry shared by several threads keeps exact books."""
+
+    def test_spans_nest_on_their_own_thread(self):
+        reg = MetricsRegistry()
+        a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
+
+        def thread_a():
+            with reg.span("a"):
+                a_open.set()
+                assert b_open.wait(10.0)
+            a_closed.set()  # "a" exits while "b" is still open
+
+        def thread_b():
+            assert a_open.wait(10.0)
+            with reg.span("b"):
+                b_open.set()
+                assert a_closed.wait(10.0)
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10.0)
+        with reg.span("later"):
+            pass
+        assert reg.span_paths() == ["a", "b", "later"]
+        assert not reg._span_stack
+
+    def test_concurrent_updates_are_never_lost(self):
+        reg = MetricsRegistry()
+        n_threads, n_ops = 8, 20_000
+        barrier = threading.Barrier(n_threads)
+
+        def worker():
+            barrier.wait()
+            for _ in range(n_ops):
+                reg.inc("c")
+                reg.observe("h", 1.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert reg.counter_value("c") == n_threads * n_ops
+        assert reg.histogram("h").count == n_threads * n_ops
 
 
 class TestNoOpMode:

@@ -1,4 +1,4 @@
-"""Cache layer: LRU+TTL semantics, exact counters, thread safety."""
+"""Cache layer: LRU semantics, exact counters, thread safety."""
 
 from __future__ import annotations
 
@@ -9,19 +9,6 @@ import pytest
 from repro import obs
 from repro.cloud.plan_cache import CacheStats, PlanCache
 from repro.errors import ConfigurationError
-
-
-class FakeClock:
-    """Injectable monotonic clock."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
 
 
 class TestLru:
@@ -60,41 +47,15 @@ class TestLru:
         with pytest.raises(ConfigurationError):
             PlanCache(capacity=0)
         with pytest.raises(ConfigurationError):
-            PlanCache(ttl_s=0.0)
-        with pytest.raises(ConfigurationError):
-            PlanCache(ttl_s=-1.0)
+            PlanCache(capacity=-1)
 
-
-class TestTtl:
-    def test_expired_entry_counts_expiration_and_miss(self):
-        clock = FakeClock()
-        cache = PlanCache(capacity=4, ttl_s=10.0, name="t.ttl", clock=clock)
-        cache.put("a", 1)
-        clock.advance(9.0)
-        assert cache.get("a") == 1
-        clock.advance(2.0)  # 11 s after insertion
+    def test_stored_none_is_a_hit_not_a_miss(self):
+        cache = PlanCache(capacity=2, name="t.none")
+        cache.put("a", None)
         assert cache.get("a") is None
+        assert cache.get("b") is None
         stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.misses == 1
-        assert stats.hits == 1
-        assert stats.size == 0
-
-    def test_put_resets_the_ttl(self):
-        clock = FakeClock()
-        cache = PlanCache(capacity=4, ttl_s=10.0, name="t.ttl2", clock=clock)
-        cache.put("a", 1)
-        clock.advance(8.0)
-        cache.put("a", 2)  # fresh insertion time
-        clock.advance(8.0)
-        assert cache.get("a") == 2
-
-    def test_no_ttl_means_no_expiry(self):
-        clock = FakeClock()
-        cache = PlanCache(capacity=4, ttl_s=None, name="t.nottl", clock=clock)
-        cache.put("a", 1)
-        clock.advance(1e9)
-        assert cache.get("a") == 1
+        assert (stats.hits, stats.misses) == (1, 1)
 
 
 class TestPeek:
@@ -110,22 +71,10 @@ class TestPeek:
         cache.put("c", 3)
         assert cache.keys() == ["b", "c"]
 
-    def test_peek_leaves_expired_entries_for_get_to_account(self):
-        clock = FakeClock()
-        cache = PlanCache(capacity=4, ttl_s=5.0, name="t.peek2", clock=clock)
-        cache.put("a", 1)
-        clock.advance(6.0)
-        assert cache.peek("a") is None  # reads as absent...
-        assert cache.stats().expirations == 0  # ...but nothing was dropped
-        assert cache.get("a") is None  # the replayed lookup does the books
-        stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.misses == 1
-
 
 class TestCounters:
     def test_stats_snapshot_is_immutable_and_complete(self):
-        cache = PlanCache(capacity=2, ttl_s=30.0, name="t.stats")
+        cache = PlanCache(capacity=2, name="t.stats")
         cache.put("a", 1)
         cache.get("a")
         cache.get("zzz")
@@ -135,7 +84,6 @@ class TestCounters:
         assert (stats.name, stats.hits, stats.misses) == ("t.stats", 1, 1)
         assert stats.revalidation_misses == 1
         assert stats.capacity == 2
-        assert stats.ttl_s == 30.0
         assert stats.lookups == 2
         assert stats.hit_rate == 0.5
         with pytest.raises(AttributeError):
@@ -156,7 +104,7 @@ class TestCounters:
 
     def test_obs_counters_mirrored(self):
         with obs.use_registry(obs.MetricsRegistry()) as registry:
-            cache = PlanCache(capacity=1, ttl_s=None, name="t.obs")
+            cache = PlanCache(capacity=1, name="t.obs")
             cache.put("a", 1)
             cache.get("a")
             cache.get("b")
@@ -169,14 +117,14 @@ class TestCounters:
             assert counters["t.obs.revalidation_misses"] == 1
 
     def test_summary_mentions_the_interesting_counts(self):
-        clock = FakeClock()
-        cache = PlanCache(capacity=2, ttl_s=1.0, name="t.sum", clock=clock)
+        cache = PlanCache(capacity=1, name="t.sum")
         cache.put("a", 1)
-        clock.advance(2.0)
+        cache.put("b", 2)  # evicts a
         cache.get("a")
         cache.note_revalidation_miss()
         text = cache.stats().summary()
-        assert "expired" in text
+        assert "1 eviction(s)" in text
+        assert "1 miss(es)" in text
         assert "revalidation" in text
 
 

@@ -46,8 +46,6 @@ class TestSharding:
         assert PlanRouter(catalog, shards=2).shards == 2
         with pytest.raises(ConfigurationError):
             PlanRouter(catalog, shards=0)
-        with pytest.raises(ConfigurationError):
-            PlanRouter(catalog, lane_workers=-1)
 
 
 class TestRoutingIdentity:
@@ -228,30 +226,6 @@ class TestAggregates:
             )
             assert section["artifact_store"]["misses"] == 1
         json.dumps(document)  # JSON-serializable end to end
-
-
-class TestLanes:
-    def test_laned_routing_matches_direct_outcomes(self, catalog, coarse_config):
-        reference = PlanRouter(builtin_catalog(config=coarse_config))
-        reqs = [
-            _req(f"ev{i}", cid, depart_s=depart)
-            for i, (cid, depart) in enumerate(
-                [(c, d) for d in (10.0, 40.0, 10.0) for c in catalog.ids()]
-            )
-        ]
-        expected = reference.request_batch(reqs)
-        with PlanRouter(catalog, lane_workers=2) as laned:
-            outcomes = laned.request_batch(reqs)
-            lane_stats = laned.router_stats()
-        assert lane_stats.routed == len(reqs)
-        for got, want in zip(outcomes, expected):
-            assert got.energy_mah == want.energy_mah
-            assert got.corridor_id == want.corridor_id
-
-    def test_lane_rejections_surface_typed(self, catalog):
-        with PlanRouter(catalog, lane_workers=1) as laned:
-            with pytest.raises(UnknownCorridorError):
-                laned.request(_req("x", "route-66"))
 
 
 class TestMultiCorridorFleet:

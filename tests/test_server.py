@@ -209,7 +209,7 @@ class TestServing:
             assert not health.draining
             assert health.capacity == 7
             document = transport.server_stats()
-            assert document["schema"] == "repro.cloud.stats/v1"
+            assert document["schema"] == "repro.cloud.stats/v2"
             assert document["server"]["health_requests"] == 1
             assert document["server"]["max_pending"] == 7
             transport.close()
@@ -502,7 +502,7 @@ class TestWireIdentity:
 
 
 class TestCorridorServing:
-    """Sharded serving behind the front door — v1 clients included."""
+    """Sharded serving behind the front door; v1 frames are refused."""
 
     def _routed_stack(self, coarse_config):
         from repro.cloud.registry import builtin_catalog
@@ -510,34 +510,28 @@ class TestCorridorServing:
 
         return PlanRouter(builtin_catalog(config=coarse_config))
 
-    def test_v1_client_served_unchanged_against_default_corridor(
-        self, coarse_config
-    ):
-        from repro.cloud.registry import builtin_catalog
-
-        router = self._routed_stack(coarse_config)
-        direct = builtin_catalog(config=coarse_config).service("us25")
-        req = PlanRequest(vehicle_id="legacy", depart_s=30.0)
-        expected = direct.request(req)
-        with serve_in_background(router) as handle:
-            transport = NetworkPlanTransport(
-                handle.address[0], handle.address[1], wire_version=1
-            )
-            with transport:
-                response = transport.request(req)
-                health = transport.health()
-            # Raw wire check: the v1 request truly goes out without a
-            # corridor key, and the server answers in the v1 dialect.
-            reply = _raw_exchange(
-                handle.address, wire.encode_request(req, version=1)
-            )
-        assert response.energy_mah == expected.energy_mah
-        assert response.trip_time_s == expected.trip_time_s
-        assert response.corridor_id == "us25"
-        assert health.status == wire.HEALTH_OK
-        payload = json.loads(reply)
-        assert payload["wire_version"] == 1
-        assert "corridor_id" not in payload
+    def test_v1_frame_refused_typed_and_connection_serves_v2(self):
+        service = StubPlannerService()
+        v2 = wire.request_to_dict(PlanRequest("ev1", depart_s=10.0))
+        v1 = dict(v2, wire_version=1)
+        del v1["corridor_id"]
+        with serve_in_background(service) as handle:
+            with socket.create_connection(handle.address, timeout=5.0) as sock:
+                sock.sendall(encode_frame(json.dumps(v1).encode("ascii")))
+                kind, err = wire.decode_message(_read_one_frame(sock))
+                assert kind == wire.ERROR_KIND
+                assert err.code == wire.ERROR_PROTOCOL
+                assert err.retryable is False
+                assert "wire_version" in err.message
+                # The same connection then serves a v2 request.
+                sock.sendall(encode_frame(json.dumps(v2).encode("ascii")))
+                kind, resp = wire.decode_message(_read_one_frame(sock))
+                assert kind == wire.RESPONSE_KIND
+                assert resp.vehicle_id == "ev1"
+            stats = handle.stats_snapshot()
+        assert stats.protocol_errors == 1
+        assert stats.served == 1
+        assert service.calls == 1
 
     def test_v2_clients_address_corridors_through_one_server(
         self, coarse_config
@@ -583,12 +577,3 @@ class TestCorridorServing:
         assert ok.corridor_id == "us25"
         assert stats.protocol_errors == 1
         assert stats.served == 1
-
-    def test_v1_transport_refuses_nondefault_corridors_client_side(self):
-        transport = NetworkPlanTransport("127.0.0.1", 1, wire_version=1)
-        with pytest.raises(WireProtocolError):
-            transport.request(
-                PlanRequest(vehicle_id="x", depart_s=1.0, corridor_id="elm-street")
-            )
-        with pytest.raises(ConfigurationError):
-            NetworkPlanTransport("127.0.0.1", 1, wire_version=99)

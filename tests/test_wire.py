@@ -201,70 +201,43 @@ class TestRejection:
 
 
 class TestVersioning:
-    """Version-2 corridor routing with version-1 backward compatibility."""
+    """Version 2 carries the corridor; version 1 is refused, typed."""
 
     def _v1_payload(self, **overrides):
-        payload = wire.request_to_dict(
-            PlanRequest(vehicle_id="a", depart_s=10.0), version=1
-        )
+        """A version-1 request: the v2 payload without ``corridor_id``."""
+        payload = wire.request_to_dict(PlanRequest(vehicle_id="a", depart_s=10.0))
+        del payload["corridor_id"]
+        payload["wire_version"] = 1
         payload.update(overrides)
         return payload
 
     def test_current_version_and_support_window(self):
         assert wire.WIRE_VERSION == 2
-        assert wire.SUPPORTED_WIRE_VERSIONS == (1, 2)
-
-    def test_v1_request_has_no_corridor_key(self):
-        assert "corridor_id" not in self._v1_payload()
-        payload = wire.request_to_dict(
-            PlanRequest(vehicle_id="a", depart_s=10.0)
-        )
-        assert payload["corridor_id"] == DEFAULT_CORRIDOR_ID
-
-    def test_v1_request_decodes_to_default_corridor(self):
-        req = wire.request_from_dict(self._v1_payload())
-        assert req.corridor_id == DEFAULT_CORRIDOR_ID
-        req = wire.request_from_dict(
-            self._v1_payload(), default_corridor_id="elm-street"
-        )
-        assert req.corridor_id == "elm-street"
+        v3 = wire.request_to_dict(PlanRequest(vehicle_id="a", depart_s=10.0))
+        v3["wire_version"] = 3
+        for payload in (self._v1_payload(), v3):
+            for decode in (
+                wire.request_from_dict,
+                lambda p: wire.decode_request(json.dumps(p)),
+                lambda p: wire.decode_message(json.dumps(p)),
+            ):
+                with pytest.raises(WireProtocolError) as excinfo:
+                    decode(payload)
+                assert excinfo.value.field == "wire_version"
+                assert excinfo.value.version == payload["wire_version"]
 
     def test_v1_payload_carrying_corridor_id_rejected(self):
-        # corridor_id is a v2 key; a v1 frame smuggling it is off-schema.
         payload = self._v1_payload(corridor_id="us25")
-        with pytest.raises(WireProtocolError):
+        with pytest.raises(WireProtocolError) as excinfo:
             wire.request_from_dict(payload)
+        assert excinfo.value.field == "wire_version"
 
     def test_v2_payload_missing_corridor_id_rejected(self):
         payload = wire.request_to_dict(PlanRequest(vehicle_id="a", depart_s=1.0))
+        assert payload["corridor_id"] == DEFAULT_CORRIDOR_ID
         del payload["corridor_id"]
         with pytest.raises(WireProtocolError):
             wire.request_from_dict(payload)
-
-    def test_v1_cannot_encode_a_nondefault_corridor(self):
-        # Downgrading would silently drop the routing key — refuse typed.
-        req = PlanRequest(vehicle_id="a", depart_s=1.0, corridor_id="elm-street")
-        with pytest.raises(WireProtocolError):
-            wire.encode_request(req, version=1)
-        # ... unless that corridor IS the configured default (no loss).
-        data = wire.encode_request(
-            req, version=1, default_corridor_id="elm-street"
-        )
-        back = wire.decode_request(data, default_corridor_id="elm-street")
-        assert back == req
-
-    def test_unsupported_encode_version_rejected(self):
-        req = PlanRequest(vehicle_id="a", depart_s=1.0)
-        with pytest.raises(WireProtocolError):
-            wire.encode_request(req, version=wire.WIRE_VERSION + 1)
-
-    @settings(max_examples=40, deadline=None)
-    @given(req=requests())
-    def test_v1_roundtrip_bit_exact_for_default_corridor(self, req):
-        data = wire.encode_request(req, version=1)
-        back = wire.decode_request(data)
-        assert back == req
-        assert wire.encode_request(back, version=1) == data
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -279,53 +252,20 @@ class TestVersioning:
         assert back == req
         assert back.corridor_id == corridor
 
-    def test_v1_response_roundtrip(self):
-        resp = PlanResponse(
-            vehicle_id="ev1",
-            profile=None,
-            energy_mah=1.5,
-            trip_time_s=10.0,
-            cache_hit=False,
-            compute_time_s=0.0,
-        )
-        payload = json.loads(wire.encode_response(resp, version=1))
-        assert payload["wire_version"] == 1
-        assert "corridor_id" not in payload
-        back = wire.decode_response(wire.encode_response(resp, version=1))
-        assert back.corridor_id == DEFAULT_CORRIDOR_ID
-        nondefault = PlanResponse(
-            vehicle_id="ev1",
-            profile=None,
-            energy_mah=1.5,
-            trip_time_s=10.0,
-            cache_hit=False,
-            compute_time_s=0.0,
-            corridor_id="airport-loop",
-        )
-        with pytest.raises(WireProtocolError):
-            wire.encode_response(nondefault, version=1)
-
     def test_decode_message_versioned_reports_the_dialect(self):
         req = PlanRequest(vehicle_id="a", depart_s=1.0)
-        for version in wire.SUPPORTED_WIRE_VERSIONS:
-            kind, message, got = wire.decode_message_versioned(
-                wire.encode_request(req, version=version)
-            )
-            assert (kind, got) == (wire.REQUEST_KIND, version)
-            assert message == req
+        kind, message, got = wire.decode_message_versioned(wire.encode_request(req))
+        assert (kind, got) == (wire.REQUEST_KIND, wire.WIRE_VERSION)
+        assert message == req
         kind, message = wire.decode_message(wire.encode_request(req))
         assert kind == wire.REQUEST_KIND
-
-    def test_health_and_stats_frames_speak_both_dialects(self):
-        for version in wire.SUPPORTED_WIRE_VERSIONS:
-            for blob in (
-                wire.encode_health_request(version=version),
-                wire.encode_stats_request(version=version),
-                wire.encode_stats_response({"schema": "x"}, version=version),
-            ):
-                payload = json.loads(blob)
-                assert payload["wire_version"] == version
-                wire.decode_message(blob)  # both decode under one window
+        for blob in (
+            wire.encode_health_request(),
+            wire.encode_stats_request(),
+            wire.encode_stats_response({"schema": "x"}),
+        ):
+            assert json.loads(blob)["wire_version"] == wire.WIRE_VERSION
+            assert wire.decode_message_versioned(blob)[2] == wire.WIRE_VERSION
 
 
 # ----------------------------------------------------------------------
@@ -341,11 +281,11 @@ def per_element_floats(value, field, what="profile"):
     return [wire._finite_float(v, f"{field}[{i}]", what) for i, v in enumerate(value)]
 
 
-def per_float_response_bytes(resp, version=wire.WIRE_VERSION):
+def per_float_response_bytes(resp):
     """Reference encoder: every profile float through ``float()``, as before."""
     profile = resp.profile
     document = {
-        "wire_version": version,
+        "wire_version": wire.WIRE_VERSION,
         "kind": wire.RESPONSE_KIND,
         "vehicle_id": resp.vehicle_id,
         "profile": None if profile is None else {
@@ -358,9 +298,8 @@ def per_float_response_bytes(resp, version=wire.WIRE_VERSION):
         "trip_time_s": float(resp.trip_time_s),
         "cache_hit": bool(resp.cache_hit),
         "compute_time_s": float(resp.compute_time_s),
+        "corridor_id": resp.corridor_id,
     }
-    if version >= 2:
-        document["corridor_id"] = resp.corridor_id
     return json.dumps(
         document, sort_keys=True, separators=(",", ":"), allow_nan=False
     ).encode("ascii")
@@ -450,10 +389,10 @@ class TestEncodeMatchesPerFloat:
         profile=profiles(),
         energy=finite_double,
         hit=st.booleans(),
-        version=st.sampled_from(wire.SUPPORTED_WIRE_VERSIONS),
+        corridor=st.sampled_from([DEFAULT_CORRIDOR_ID, "elm-street"]),
         new_start=st.floats(min_value=0.0, max_value=1e6, width=64),
     )
-    def test_bytes_equal_the_per_float_encoder(self, profile, energy, hit, version, new_start):
+    def test_bytes_equal_the_per_float_encoder(self, profile, energy, hit, corridor, new_start):
         for plan in (profile, profile.shifted_to(new_start), None):
             resp = PlanResponse(
                 vehicle_id="ev-7",
@@ -462,10 +401,9 @@ class TestEncodeMatchesPerFloat:
                 trip_time_s=123.456,
                 cache_hit=hit,
                 compute_time_s=0.0,
+                corridor_id=corridor,
             )
-            assert wire.encode_response(resp, version=version) == (
-                per_float_response_bytes(resp, version=version)
-            )
+            assert wire.encode_response(resp) == per_float_response_bytes(resp)
 
     def test_negative_zero_and_extremes_render_identically(self):
         profile = VelocityProfile(
