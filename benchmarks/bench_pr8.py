@@ -2,10 +2,13 @@
 
 Three gated claims back the uncertainty stack:
 
-* ``mid_replan`` — the PR 4 mid-route replan (2000 m in, solve-bound)
-  is now >= 2x faster warm than cold.  BENCH_pr4.json recorded 1.46x;
-  the vectorized stage expansion closes the gap, and this gate keeps
-  it closed.
+* ``mid_replan`` — the PR 4 mid-route replan (2000 m in) on a warm
+  artifact store redoes no corridor work: over the warm-up and the
+  timed warm replans, the store builds the corridor artifacts exactly
+  once (one miss) and serves every other planner from the store (one
+  hit each).  PR 4's regression was a warm planner rebuilding them.
+  The cold/warm timing and its ratio are reported, not gated: once the
+  artifact build became cheap the ratio stopped measuring that reuse.
 * ``mpc_cycle`` — per-cycle cost of a warm receding-horizon replan
   through the chance-constrained planner (the ``queue_dp_mpc`` tier's
   unit of work).  Reported and gated loosely against the cold replan:
@@ -69,7 +72,11 @@ def _timed(fn, rounds: int = ROUNDS):
 
 
 def _mid_replan(road):
-    """Cold vs warm mid-route replan (the PR 4 regression, now gated)."""
+    """Cold vs warm mid-route replan, and the warm store's counters.
+
+    Every replan stands up a fresh planner, as a new vehicle's would; the
+    warm ones share one store, whose hits and misses are returned.
+    """
 
     def replan(store):
         planner = QueueAwareDpPlanner(
@@ -84,7 +91,7 @@ def _mid_replan(road):
     assert warm_solution.energy_j == cold_solution.energy_j, "store changed the answer"
     cold_s = statistics.median(cold)
     warm_s = statistics.median(warm)
-    return cold_s, warm_s, cold_s / warm_s
+    return cold_s, warm_s, cold_s / warm_s, store.stats()
 
 
 def _mpc_cycle(road, cold_replan_s: float):
@@ -174,7 +181,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     road = us25_greenville_segment()
 
-    mid_cold, mid_warm, mid_speedup = _mid_replan(road)
+    mid_cold, mid_warm, mid_speedup, mid_store = _mid_replan(road)
     mpc_cycle_s, mpc_per_state, mpc_beats_cold = _mpc_cycle(road, mid_cold)
     plan_identical, replan_identical, half_margin = _bit_identity(road)
     result, worst, rows = _robustness(args.reduced)
@@ -189,6 +196,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "cold_s": round(mid_cold, 4),
             "warm_s": round(mid_warm, 4),
             "speedup": round(mid_speedup, 2),
+            "store": {"hits": mid_store.hits, "misses": mid_store.misses},
         },
         "mpc_cycle": {
             "warm_cycle_s": round(mpc_cycle_s, 4),
@@ -217,8 +225,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         fh.write("\n")
     print(json.dumps(report, indent=2))
 
-    assert mid_speedup >= 2.0, (
-        f"warm mid-route replan only {mid_speedup:.2f}x faster than cold (need >= 2x)"
+    assert (mid_store.misses, mid_store.hits) == (1, ROUNDS), (
+        f"warm mid-route replans built the corridor artifacts {mid_store.misses} "
+        f"time(s) and reused them {mid_store.hits} time(s) (need 1 build, "
+        f"{ROUNDS} reuses)"
     )
     assert mpc_beats_cold, (
         f"warm MPC cycle {mpc_cycle_s:.3f} s is no faster than a cold "

@@ -32,9 +32,18 @@ falls back to its own ``service.request`` call, preserving the serial
 semantics where every infeasible request fails (and is accounted)
 individually.
 
-Exact counters live in :class:`DispatcherStats` (mutated under a lock);
-the mirrored :mod:`repro.obs` counters (``cloud.dispatch.*``) are
-best-effort under concurrency, like all registry counters.
+A warm hit needs no pool thread.  :meth:`PlanDispatcher.request_cached`
+answers a request in the caller's thread (the plan server's event loop)
+from the service's warm cache, through the service's own
+``request_cached``, when no flight of its key is open.  It never solves;
+anything it cannot answer is left for :meth:`PlanDispatcher.submit`.  It
+counts the answered request as the pool would have — submitted, a
+leader, completed — so the counters read the same whichever path
+served.
+
+Exact counters live in :class:`DispatcherStats` (mutated under a lock)
+and are mirrored into the thread-safe :mod:`repro.obs` registry as
+``cloud.dispatch.*``.
 """
 
 from __future__ import annotations
@@ -150,6 +159,11 @@ class PlanDispatcher:
         self._coalesced = 0
         self._deadline_exceeded = 0
         self._proc = None
+        # Worker processes keep their own caches, which the caller's
+        # thread cannot read, and a duck-typed service may have no probe.
+        self._answer_cached = (
+            getattr(service, "request_cached", None) if backend == "thread" else None
+        )
         if backend == "process":
             from repro.cloud.procpool import ProcessBackend
 
@@ -197,6 +211,51 @@ class PlanDispatcher:
         return self._pool.submit(
             self._run, req, key, flight, predecessor, deadline_s, submitted_at
         )
+
+    def request_cached(self, req: PlanRequest) -> Optional[PlanResponse]:
+        """Answer ``req`` from the warm cache in this thread, else ``None``.
+
+        The plan server calls this on its event loop before it submits,
+        so a warm hit costs no pool hop.  It answers only when no flight
+        of the request's key is open and the service's ``request_cached``
+        accepts the hit; it never solves.  ``None`` (nothing counted)
+        leaves the request for :meth:`submit`: misses, failed
+        revalidations, replans and other uncoalescable requests, and any
+        request whose key has a flight open.
+
+        Per-key order: the flight check, the service's probe and its
+        counting all run under the dispatcher's lock, the lock under
+        which every submission registers its flight.  A flight stays
+        registered until the last submitted request of its key has
+        finished its service call, so no open flight means no request of
+        the key is queued or running.  And a same-key submission from any
+        thread either registered first — this sees its flight and
+        declines, and the request is chained behind it by :meth:`submit`
+        — or registers after this has answered and counted.  So the probe
+        reads the cache exactly as the key's next serial request would.
+
+        An answered request is counted as the pool counts a first-in-
+        flight request that completes: submitted, a leader, completed.
+        """
+        if self._answer_cached is None:
+            return None
+        key = self.service.coalesce_key(req)
+        if key is None:
+            return None
+        with self._lock:
+            if key in self._flights:
+                return None
+            response = self._answer_cached(req)
+            if response is None:
+                return None
+            self._submitted += 1
+            self._leaders += 1
+            self._completed += 1
+        registry = obs.get_registry()
+        registry.inc(f"{self.name}.submitted")
+        registry.inc(f"{self.name}.leaders")
+        registry.inc(f"{self.name}.completed")
+        return response
 
     def submit_many(
         self,

@@ -143,6 +143,21 @@ class PlanCache:
             registry.inc(f"{self.name}.hits")
             return value
 
+    def note_hit(self, key: Hashable) -> None:
+        """Count a :meth:`peek` that the caller served as a :meth:`get` hit.
+
+        For a reader that peeks first and decides afterwards whether the
+        lookup happened: it counts the hit and refreshes ``key``'s recency
+        (unless another key's insert has evicted it since), as that
+        :meth:`get` would have.
+        """
+        registry = obs.get_registry()
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            self._hits += 1
+            registry.inc(f"{self.name}.hits")
+
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) one entry, evicting LRU overflow."""
         registry = obs.get_registry()

@@ -4,7 +4,8 @@
 stack into a sharded one.  It fronts a
 :class:`~repro.cloud.registry.CorridorCatalog` and exposes **exactly the
 protocol of a** :class:`~repro.cloud.service.CloudPlannerService` —
-``request``/``request_batch``/``coalesce_key`` plus the stats surface —
+``request``/``request_cached``/``request_batch``/``coalesce_key`` plus
+the stats surface —
 so every layer above it (:class:`~repro.cloud.dispatcher.PlanDispatcher`,
 :class:`~repro.cloud.server.PlanServer`,
 :class:`~repro.cloud.netclient.NetworkPlanTransport`,
@@ -176,21 +177,24 @@ class PlanRouter:
 
     def _resolve(self, req: PlanRequest) -> CloudPlannerService:
         """The corridor service for a request, with routing accounting."""
-        registry = obs.get_registry()
         try:
             service = self.catalog.service(req.corridor_id)
         except UnknownCorridorError:
             with self._mutex:
                 self._rejected += 1
-            registry.inc(f"{self.name}.rejected")
+            obs.get_registry().inc(f"{self.name}.rejected")
             raise
-        shard = self.shard_of(req.corridor_id)
+        self._count_routed(req.corridor_id)
+        return service
+
+    def _count_routed(self, corridor_id: str) -> None:
+        shard = self.shard_of(corridor_id)
         with self._mutex:
             self._routed += 1
             self._per_shard[shard] += 1
+        registry = obs.get_registry()
         registry.inc(f"{self.name}.routed")
         registry.inc(f"{self.name}.shard{shard}.routed")
-        return service
 
     # ------------------------------------------------------------------
     # The CloudPlannerService protocol
@@ -222,6 +226,20 @@ class PlanRouter:
                 request infeasible.
         """
         return self._resolve(req).request(req)
+
+    def request_cached(self, req: PlanRequest) -> Optional[PlanResponse]:
+        """The corridor service's :meth:`~CloudPlannerService.request_cached`.
+
+        The request is counted as routed only when the corridor answers
+        it, so one that is left for :meth:`request` (``None``, with
+        nothing counted, also for an unknown corridor) is routed once.
+        """
+        if req.corridor_id not in self.catalog:
+            return None
+        response = self.catalog.service(req.corridor_id).request_cached(req)
+        if response is not None:
+            self._count_routed(req.corridor_id)
+        return response
 
     def request_batch(
         self, reqs: Sequence[PlanRequest]

@@ -30,10 +30,15 @@ degrade into typed, bounded failures rather than hangs:
   the composed serving-stack document
   (:func:`repro.cloud.stats.compose_stats_document`) with a ``server``
   section added.
+* **Warm hits on the loop** — a plan request is first offered to
+  :meth:`PlanDispatcher.request_cached`, which answers a revalidated
+  warm hit on the event loop with no thread hop; only what it declines
+  (misses, replans, keys with a flight open, …) goes to the pool.
 * **Graceful drain** — :meth:`PlanServer.drain` stops accepting, sheds
   not-yet-admitted requests with ``busy``, lets every admitted request
   finish and flush its response, then flushes the final stats document
-  exactly once and closes what remains.
+  exactly once, closes what remains and waits for the connection
+  handlers to end.
 
 Synchronous callers (tests, benchmarks, the CLI) use
 :func:`serve_in_background`, which runs the event loop in a daemon
@@ -183,6 +188,7 @@ class PlanServer:
         self._in_flight = 0
         self._idle: Optional[asyncio.Event] = None
         self._writers: set = set()
+        self._handlers: set = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -222,14 +228,18 @@ class PlanServer:
         the socket), mark draining (plan requests arriving on live
         connections are shed with ``busy``), wait for every admitted
         request's response to be written, flush the final stats document
-        exactly once, close remaining connections, and shut down an
-        owned dispatcher.
+        exactly once, close remaining connections and wait for their
+        handlers to end, and shut down an owned dispatcher.  The waits
+        share ``timeout_s``; a handler still running after it is
+        cancelled, so none is left pending.
 
         Returns:
             The final composed stats document.
         """
         if self._flushed:
             return self.final_stats
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout_s
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -246,10 +256,28 @@ class PlanServer:
         document = self._flush_stats()
         for writer in list(self._writers):
             writer.close()
+        await self._finish_handlers(max(deadline - loop.time(), 0.0))
         if self._owns_dispatcher:
             self.dispatcher.shutdown(wait=False)
         obs.get_registry().inc(f"{self.name}.drained")
         return document
+
+    async def _finish_handlers(self, timeout_s: float) -> None:
+        """Let every connection handler end, cancelling what outlives the bound.
+
+        Closing a writer hands its handler end-of-stream, so a handler
+        idle in its read returns at once and runs its ``finally``.  One
+        still running past ``timeout_s`` is cancelled and awaited, so no
+        handler task is left pending when the drain returns.
+        """
+        handlers = [task for task in self._handlers if not task.done()]
+        if not handlers:
+            return
+        _, pending = await asyncio.wait(handlers, timeout=timeout_s)
+        for task in pending:
+            task.cancel()
+        if pending:
+            await asyncio.wait(pending)
 
     def _flush_stats(self) -> Dict[str, Any]:
         """Compose and (once) persist the final stats document."""
@@ -304,7 +332,13 @@ class PlanServer:
             obs.get_registry().inc(f"{self.name}.served")
         try:
             writer.write(frame)
-            await asyncio.wait_for(writer.drain(), timeout=self.write_timeout_s)
+            if writer.transport.get_write_buffer_size():
+                await asyncio.wait_for(writer.drain(), timeout=self.write_timeout_s)
+            else:
+                # The socket took the whole frame, so the drain cannot
+                # block: it needs no deadline, nor the task and timer that
+                # enforce one.  It still raises a lost connection.
+                await writer.drain()
             return True
         except asyncio.TimeoutError:
             self.stats.write_timeouts += 1
@@ -343,6 +377,8 @@ class PlanServer:
         registry = obs.get_registry()
         self.stats.connections += 1
         registry.inc(f"{self.name}.connections")
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         self._writers.add(writer)
         peer = writer.get_extra_info("peername")
         assembler = FrameAssembler(
@@ -389,6 +425,7 @@ class PlanServer:
                         return
         finally:
             self._writers.discard(writer)
+            self._handlers.discard(handler)
             writer.close()
 
     async def _handle_frame(
@@ -474,23 +511,30 @@ class PlanServer:
         self.stats.peak_in_flight = max(self.stats.peak_in_flight, self._in_flight)
         self._idle.clear()
         try:
-            future = self.dispatcher.submit(req, deadline_s=self.request_timeout_s)
             try:
-                response = await asyncio.wait_for(
-                    asyncio.wrap_future(future), timeout=self.request_timeout_s
-                )
-            except asyncio.TimeoutError:
-                future.cancel()
-                self.stats.timeouts += 1
-                registry.inc(f"{self.name}.timeouts")
-                return await self._send_error(
-                    writer,
-                    wire.ERROR_TIMEOUT,
-                    f"request for {req.vehicle_id!r} missed the server's "
-                    f"{self.request_timeout_s:.2f} s serving deadline",
-                    retryable=True,
-                    vehicle_id=req.vehicle_id,
-                )
+                # A warm hit is answered here, on the loop; everything
+                # else goes to the dispatcher's pool.
+                response = self.dispatcher.request_cached(req)
+                if response is None:
+                    future = self.dispatcher.submit(
+                        req, deadline_s=self.request_timeout_s
+                    )
+                    try:
+                        response = await asyncio.wait_for(
+                            asyncio.wrap_future(future), timeout=self.request_timeout_s
+                        )
+                    except asyncio.TimeoutError:
+                        future.cancel()
+                        self.stats.timeouts += 1
+                        registry.inc(f"{self.name}.timeouts")
+                        return await self._send_error(
+                            writer,
+                            wire.ERROR_TIMEOUT,
+                            f"request for {req.vehicle_id!r} missed the server's "
+                            f"{self.request_timeout_s:.2f} s serving deadline",
+                            retryable=True,
+                            vehicle_id=req.vehicle_id,
+                        )
             except DispatchDeadlineError as exc:
                 self.stats.timeouts += 1
                 registry.inc(f"{self.name}.timeouts")

@@ -18,13 +18,15 @@ and composes the mechanism layers:
   three unbounded dicts);
 * :mod:`repro.cloud.dispatcher` — concurrency and request coalescing on
   top of :meth:`CloudPlannerService.request` (the service stays
-  synchronous; the dispatcher threads it);
+  synchronous; the dispatcher threads it), and the loop-side probe over
+  :meth:`CloudPlannerService.request_cached`, which answers a warm hit
+  without a solve;
 * :mod:`repro.cloud.wire` — the serialization boundary, exercised by
   clients that round-trip requests/responses through the codec.
 
-Thread-safety: :meth:`request` may be called from multiple dispatcher
-workers concurrently.  The caches lock internally and the stats counters
-mutate under the service's own lock, so the
+Thread-safety: :meth:`request` and :meth:`request_cached` may be called
+from multiple threads concurrently.  The caches lock internally and the
+stats counters mutate under the service's own lock, so the
 ``requests == cache_hits + cache_misses + errors`` invariant holds under
 concurrency too.
 """
@@ -291,6 +293,78 @@ class CloudPlannerService:
         registry.observe(f"{self.name}.request_s", _time.perf_counter() - t_req)
         return response
 
+    def request_cached(self, req: PlanRequest) -> Optional[PlanResponse]:
+        """Answer a request from the warm caches alone, else ``None``.
+
+        Never solves.  The caches are read with
+        :meth:`~repro.cloud.plan_cache.PlanCache.peek`, which counts
+        nothing; a hit is shifted and revalidated by the same code as in
+        :meth:`request`.  When that accepts the hit, this counts exactly
+        what :meth:`request` counts for it, once: ``requests``, the
+        min-time memo hit of a budget-less request, the plan-cache hit and
+        ``cache_hits``, with their registry mirrors and the
+        ``request_s`` observation.  Otherwise it counts nothing and
+        returns ``None``, and the request is left for :meth:`request`:
+        replans, non-energy objectives, uncacheable planners, another
+        corridor's requests, a cold min-time memo or plan cache, and hits
+        that fail revalidation.  (The route-length screen of
+        :meth:`request` cannot fail here: a request that is not a replan
+        starts at position 0.)
+        """
+        if (
+            not self._cacheable
+            or req.is_replan
+            or req.minimize != "energy"
+            or req.corridor_id != self.corridor_id
+        ):
+            return None
+        t_req = _time.perf_counter()
+        phase_bin = self._phase_bin(req.depart_s)
+        budget = req.max_trip_time_s
+        if budget is None:
+            fastest = self.min_time_cache.peek(phase_bin)
+            if fastest is None:
+                return None
+            budget = fastest + self.default_budget_slack_s
+        key = (phase_bin, int(budget / self.budget_quantum_s))
+        cached = self.plan_cache.peek(key)
+        if cached is None:
+            return None
+        response = self._hit(req, cached)
+        if response is None:
+            return None
+        registry = obs.get_registry()
+        with self._mutex:
+            self.stats.requests += 1
+        registry.inc(f"{self.name}.requests")
+        if req.max_trip_time_s is None:
+            self.min_time_cache.note_hit(phase_bin)
+        self.plan_cache.note_hit(key)
+        self._count_hit(registry)
+        registry.observe(f"{self.name}.request_s", _time.perf_counter() - t_req)
+        return response
+
+    def _hit(self, req: PlanRequest, cached: Tuple) -> Optional[PlanResponse]:
+        """A cached plan shifted to the request, if it still revalidates."""
+        profile, energy_mah, trip_time = cached
+        shifted = profile.shifted_to(req.depart_s)
+        if not self._revalidate(shifted, req.depart_s):
+            return None
+        return PlanResponse(
+            vehicle_id=req.vehicle_id,
+            profile=shifted,
+            energy_mah=energy_mah,
+            trip_time_s=trip_time,
+            cache_hit=True,
+            compute_time_s=0.0,
+            corridor_id=req.corridor_id,
+        )
+
+    def _count_hit(self, registry: obs.MetricsRegistry) -> None:
+        with self._mutex:
+            self.stats.cache_hits += 1
+        registry.inc(f"{self.name}.hits")
+
     def _serve(self, req: PlanRequest, registry: obs.MetricsRegistry) -> PlanResponse:
         """Serve one request: cache lookup + revalidation, else a solve."""
         if req.is_replan or req.minimize != "energy":
@@ -304,21 +378,10 @@ class CloudPlannerService:
             key = (self._phase_bin(req.depart_s), int(budget / self.budget_quantum_s))
             cached = self.plan_cache.get(key)
             if cached is not None:
-                profile, energy_mah, trip_time = cached
-                shifted = profile.shifted_to(req.depart_s)
-                if self._revalidate(shifted, req.depart_s):
-                    with self._mutex:
-                        self.stats.cache_hits += 1
-                    registry.inc(f"{self.name}.hits")
-                    return PlanResponse(
-                        vehicle_id=req.vehicle_id,
-                        profile=shifted,
-                        energy_mah=energy_mah,
-                        trip_time_s=trip_time,
-                        cache_hit=True,
-                        compute_time_s=0.0,
-                        corridor_id=req.corridor_id,
-                    )
+                response = self._hit(req, cached)
+                if response is not None:
+                    self._count_hit(registry)
+                    return response
                 self.plan_cache.note_revalidation_miss()
                 with self._mutex:
                     self.stats.revalidation_misses += 1
@@ -450,14 +513,12 @@ class CloudPlannerService:
         arrivals can drift up to ``phase_quantum_s`` relative to the solve
         that produced it.  The planner's window margin normally absorbs
         that drift; this check catches the cases it cannot (quantum larger
-        than the margin, windows whose edges moved between cycles).  The
-        windows come from :meth:`~repro.core.planner.DpPlannerBase.signal_constraints`,
-        the same definition the DP solved against.
+        than the margin, windows whose edges moved between cycles).
+        :meth:`~repro.core.planner.DpPlannerBase.arrivals_in_windows`
+        decides it as the DP's own ``signal_constraints`` would, building
+        each signal's windows only as far as its arrival needs.
         """
-        return all(
-            profile.arrival_time_at(constraint.position_m) in constraint.windows
-            for constraint in self.planner.signal_constraints(depart_s)
-        )
+        return self.planner.arrivals_in_windows(profile, depart_s)
 
     def _fastest_trip(self, depart_s: float) -> float:
         """Minimum feasible trip time, memoized per departure bin.

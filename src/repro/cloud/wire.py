@@ -266,6 +266,35 @@ def _loads(data: Union[bytes, bytearray, str], what: str) -> Any:
 # ----------------------------------------------------------------------
 # VelocityProfile <-> dict
 # ----------------------------------------------------------------------
+#: The key of a profile's array text in its render memo.
+_ARRAYS_TEXT = "wire.arrays_json"
+
+
+def _profile_arrays_text(profile: VelocityProfile) -> Optional[str]:
+    """The profile's JSON up to its ``start_time_s``, rendered once per plan.
+
+    That is ``{"dwell_s":[…],"positions_m":[…],"speeds_ms":[…]``.  The
+    text is kept in the profile's render memo, which its shifted copies
+    share with it, so every hit of one cached plan reuses one rendering.  Two encodes racing on a cold memo both store the same
+    text.  ``None`` when an array holds a non-finite value: the full
+    encode then raises the typed error.
+    """
+    renders = getattr(profile, "_renders", None)
+    text = None if renders is None else renders.get(_ARRAYS_TEXT)
+    if text is None:
+        try:
+            text = _ENCODER.encode({
+                "dwell_s": profile.dwell_s.tolist(),
+                "positions_m": profile.positions_m.tolist(),
+                "speeds_ms": profile.speeds_ms.tolist(),
+            })[:-1]
+        except ValueError:
+            return None
+        if renders is not None:
+            renders[_ARRAYS_TEXT] = text
+    return text
+
+
 def profile_to_dict(profile: VelocityProfile) -> Dict[str, Any]:
     """A :class:`VelocityProfile` as a plain JSON-ready dict.
 
@@ -387,23 +416,29 @@ def decode_request(data: Union[bytes, bytearray, str]) -> PlanRequest:
 # ----------------------------------------------------------------------
 # PlanResponse <-> dict <-> bytes
 # ----------------------------------------------------------------------
-def response_to_dict(resp: PlanResponse) -> Dict[str, Any]:
-    """A :class:`PlanResponse` as a plain, versioned JSON-ready dict.
-
-    ``profile`` may be ``None`` (degraded tiers can answer without one);
-    it is encoded as JSON ``null``.
-    """
+def _response_scalars(resp: PlanResponse) -> Dict[str, Any]:
+    """Every field of a response's dict form but ``profile``."""
     return {
         "wire_version": WIRE_VERSION,
         "kind": RESPONSE_KIND,
         "vehicle_id": resp.vehicle_id,
-        "profile": None if resp.profile is None else profile_to_dict(resp.profile),
         "energy_mah": float(resp.energy_mah),
         "trip_time_s": float(resp.trip_time_s),
         "cache_hit": bool(resp.cache_hit),
         "compute_time_s": float(resp.compute_time_s),
         "corridor_id": resp.corridor_id,
     }
+
+
+def response_to_dict(resp: PlanResponse) -> Dict[str, Any]:
+    """A :class:`PlanResponse` as a plain, versioned JSON-ready dict.
+
+    ``profile`` may be ``None`` (degraded tiers can answer without one);
+    it is encoded as JSON ``null``.
+    """
+    document = _response_scalars(resp)
+    document["profile"] = None if resp.profile is None else profile_to_dict(resp.profile)
+    return document
 
 
 def response_from_dict(payload: Dict[str, Any]) -> PlanResponse:
@@ -443,7 +478,34 @@ def response_from_dict(payload: Dict[str, Any]) -> PlanResponse:
 
 
 def encode_response(resp: PlanResponse) -> bytes:
-    """Canonical JSON bytes of a response (equal responses → equal bytes)."""
+    """Canonical JSON bytes of a response (equal responses → equal bytes).
+
+    The profile's arrays are not re-rendered per response: their text is
+    rendered once per plan (:func:`_profile_arrays_text`) and spliced in.
+    The bytes are those of encoding :func:`response_to_dict` whole: with
+    sorted keys the encoder writes the fields that sort before
+    ``profile``, then ``profile``, then the rest, so the two halves of
+    the other fields are encoded on their own, by the same encoder, and
+    joined around the profile's text.  A value the encoder refuses sends
+    the response down the whole-document path, which raises the typed
+    error.
+    """
+    profile = resp.profile
+    if profile is not None:
+        arrays = _profile_arrays_text(profile)
+        start = float(profile.start_time_s)
+        if arrays is not None and math.isfinite(start):
+            scalars = _response_scalars(resp)
+            try:
+                head = _ENCODER.encode({k: v for k, v in scalars.items() if k < "profile"})
+                tail = _ENCODER.encode({k: v for k, v in scalars.items() if k > "profile"})
+            except ValueError:
+                pass
+            else:
+                return "".join((
+                    head[:-1], ',"profile":', arrays, ',"start_time_s":',
+                    float.__repr__(start), "},", tail[1:],
+                )).encode("ascii")
     return _dumps(response_to_dict(resp), "plan response")
 
 

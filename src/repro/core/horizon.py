@@ -44,8 +44,8 @@ two things:
 
 The wrapper delegates the full planner surface the serving stack uses
 (``road``/``vehicle``/``config``/``store``/``solver``,
-``signal_constraints``, ``plan_batch``, ``min_trip_time``,
-``min_trip_time_batch``), so it can be dropped into
+``signal_constraints``, ``arrivals_in_windows``, ``plan_batch``,
+``min_trip_time``, ``min_trip_time_batch``), so it can be dropped into
 :class:`~repro.cloud.service.CloudPlannerService` unchanged — mid-route
 MPC cycles then ride the warm-artifact replan path end to end.
 """
@@ -58,6 +58,7 @@ import numpy as np
 
 from repro.core.dp import DpSolution, TimeWindowConstraint
 from repro.core.planner import DpPlannerBase
+from repro.core.profile import VelocityProfile
 from repro.errors import (
     ConfigurationError,
     InfeasibleProblemError,
@@ -128,10 +129,16 @@ class RecedingHorizonPlanner:
     ) -> Sequence[TimeWindowConstraint]:
         """The inner planner's *full* constraint set (no truncation).
 
-        Service-side plan revalidation must see every window a cached
-        profile crosses, so truncation only applies to :meth:`replan`.
+        Service-side plan audits must see every window a profile
+        crosses, so truncation only applies to :meth:`replan`.
         """
         return self.inner.signal_constraints(start_time_s)
+
+    def arrivals_in_windows(
+        self, profile: VelocityProfile, start_time_s: float
+    ) -> bool:
+        """The inner planner's revalidation, over every signal."""
+        return self.inner.arrivals_in_windows(profile, start_time_s)
 
     def plan(
         self,

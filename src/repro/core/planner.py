@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.core.cost import WindowSet
 from repro.core.dp import BatchProblem, DpSolution, DpSolver, TimeWindowConstraint
 from repro.core.engine import ArtifactStore
+from repro.core.profile import VelocityProfile
 from repro.errors import ConfigurationError, InfeasibleProblemError
 from repro.route.road import RoadSegment, SignalSite
 from repro.signal.queue import QueueLengthModel, QueueWindow
@@ -71,8 +72,9 @@ class PlannerConfig:
 class DpPlannerBase:
     """Common solver plumbing shared by the planners.
 
-    Subclasses implement :meth:`_signal_constraints`; everything else —
-    planning, replanning, trip-time floors — lives here.  Service layers
+    Subclasses implement :meth:`_signal_windows`, one signal's arrival
+    windows; everything else — constraints, revalidation, planning,
+    replanning, trip-time floors — lives here.  Service layers
     (the cloud planner, the closed-loop driver) accept any instance.
     """
 
@@ -102,22 +104,77 @@ class DpPlannerBase:
             environment=environment,
         )
 
+    def _signal_windows(
+        self, site: SignalSite, start_time_s: float, horizon_s: float
+    ) -> WindowSet:
+        """One signal's raw (unshrunk) arrival windows over a horizon."""
+        raise NotImplementedError
+
+    def _window_margin_s(self) -> float:
+        """The shrink applied to every arrival window (s)."""
+        return self.config.window_margin_s
+
     def _signal_constraints(
         self, start_time_s: float
     ) -> Sequence[TimeWindowConstraint]:
-        raise NotImplementedError
+        return [
+            self._constraint_from_windows(
+                site,
+                self._signal_windows(site, start_time_s, self.config.horizon_s),
+            )
+            for site in self.road.signals
+        ]
 
     def signal_constraints(
         self, start_time_s: float
     ) -> Sequence[TimeWindowConstraint]:
         """The arrival-window constraints a plan from ``start_time_s`` obeys.
 
-        Exposed so service layers can *revalidate* a plan against the
-        windows without running the DP — the cloud cache uses this to
-        check that a phase-shifted cached profile still lands inside the
-        (margin-shrunk) windows at its new departure time.
+        Exposed so service layers can audit a plan against the windows
+        it was solved against without running the DP.
         """
         return self._signal_constraints(start_time_s)
+
+    def arrivals_in_windows(
+        self, profile: VelocityProfile, start_time_s: float
+    ) -> bool:
+        """Whether each signal arrival of ``profile`` lies in its window.
+
+        Decides exactly what testing every arrival against
+        :meth:`signal_constraints` at ``start_time_s`` decides, but builds
+        each signal's windows only up to a cut horizon
+        ``min(horizon_s, arrival - start_time_s + margin + 2 * cycle_s)``.
+        The cloud cache uses it to revalidate a phase-shifted hit.
+
+        Why the cut cannot change the answer: the windows come from the
+        same constructor as the full build, with the same float operations
+        in the same order.  Cycle starts advance by repeated
+        ``+= cycle_s`` from the same first cycle, each window is clamped
+        to ``[start, start + horizon]`` and touching windows merge left to
+        right.  So every raw window that ends by the cut end ``E`` is
+        bit-identical to the full build's, and only the last one can
+        differ: it may be clamped at ``E`` where the full build runs on,
+        or merge with later windows.  That changes the last merged window
+        only past ``E - margin`` after the shrink, and windows of later
+        cycles start at or after ``E``.  The cut puts ``E - margin`` about
+        two cycles past the arrival, far beyond rounding.  So the arrival
+        falls in the same shrunk window, or in none, with the same
+        ``1e-9`` collapse test, in both builds.  Where the full horizon
+        ends before that point, ``min`` keeps the full horizon and the
+        two builds are the same call.
+        """
+        horizon_s = self.config.horizon_s
+        margin_s = self._window_margin_s()
+        for site in self.road.signals:
+            arrival = profile.arrival_time_at(site.position_m)
+            cut_s = min(
+                horizon_s,
+                arrival - start_time_s + margin_s + 2.0 * site.light.cycle_s,
+            )
+            windows = self._signal_windows(site, start_time_s, cut_s)
+            if arrival not in windows.shrunk(margin_s):
+                return False
+        return True
 
     def plan(
         self,
@@ -239,7 +296,7 @@ class DpPlannerBase:
     ) -> TimeWindowConstraint:
         return TimeWindowConstraint(
             position_m=site.position_m,
-            windows=windows.shrunk(self.config.window_margin_s),
+            windows=windows.shrunk(self._window_margin_s()),
             mode=self.config.constraint_mode,
             penalty_j=self.config.penalty_j,
         )
@@ -251,6 +308,11 @@ class UnconstrainedDpPlanner(DpPlannerBase):
     def _signal_constraints(self, start_time_s: float) -> Sequence[TimeWindowConstraint]:
         return ()
 
+    def arrivals_in_windows(
+        self, profile: VelocityProfile, start_time_s: float
+    ) -> bool:
+        return True
+
 
 class BaselineDpPlanner(DpPlannerBase):
     """The existing DP [2]: hit green windows, ignore queues.
@@ -261,13 +323,11 @@ class BaselineDpPlanner(DpPlannerBase):
     while a queue is still discharging (Fig. 6a).
     """
 
-    def _signal_constraints(self, start_time_s: float) -> Sequence[TimeWindowConstraint]:
-        constraints = []
-        for site in self.road.signals:
-            green = site.light.green_windows(self.config.horizon_s, start_time_s)
-            windows = WindowSet([QueueWindow(a, b) for a, b in green])
-            constraints.append(self._constraint_from_windows(site, windows))
-        return constraints
+    def _signal_windows(
+        self, site: SignalSite, start_time_s: float, horizon_s: float
+    ) -> WindowSet:
+        green = site.light.green_windows(horizon_s, start_time_s)
+        return WindowSet([QueueWindow(a, b) for a, b in green])
 
 
 class QueueAwareDpPlanner(DpPlannerBase):
@@ -330,14 +390,12 @@ class QueueAwareDpPlanner(DpPlannerBase):
                 ) from exc
         return self.arrival_rates
 
-    def _signal_constraints(self, start_time_s: float) -> Sequence[TimeWindowConstraint]:
-        constraints = []
-        for site in self.road.signals:
-            model = self._queue_models[site.position_m]
-            queue_free = model.empty_windows(
-                start_s=start_time_s,
-                horizon_s=self.config.horizon_s,
-                arrival_rate=self._rate_for(site),
-            )
-            constraints.append(self._constraint_from_windows(site, WindowSet(queue_free)))
-        return constraints
+    def _signal_windows(
+        self, site: SignalSite, start_time_s: float, horizon_s: float
+    ) -> WindowSet:
+        queue_free = self._queue_models[site.position_m].empty_windows(
+            start_s=start_time_s,
+            horizon_s=horizon_s,
+            arrival_rate=self._rate_for(site),
+        )
+        return WindowSet(queue_free)

@@ -15,7 +15,7 @@ energy metering and simulator playback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -115,6 +115,11 @@ class VelocityProfile:
         self.positions_m = pos
         self.speeds_ms = spd
         self.dwell_s = dwell
+        # Text rendered from the arrays on first use (the wire codec's
+        # JSON), shared with every shifted copy, as the arrays are.  Like
+        # the segment times below, it relies on the arrays never being
+        # changed after validation.
+        self._renders: Dict[str, str] = {}
         self._seg_dt = gaps / v_avg
         # Arrival at point i happens before its dwell; departure after.
         self._offsets = np.cumsum(self._seg_dt + dwell[:-1])
@@ -134,12 +139,14 @@ class VelocityProfile:
         Bit-identical to constructing a new profile from this one's
         arrays with the new start time, but the already-validated arrays
         and the cumulative segment offsets are reused instead of being
-        re-checked and re-summed.  The arrays are shared, not copied.
+        re-checked and re-summed.  The arrays are shared, not copied, and
+        so is the text rendered from them.
         """
         profile = VelocityProfile.__new__(VelocityProfile)
         profile.positions_m = self.positions_m
         profile.speeds_ms = self.speeds_ms
         profile.dwell_s = self.dwell_s
+        profile._renders = self._renders
         profile._seg_dt = self._seg_dt
         profile._offsets = self._offsets
         profile._anchor(start_time_s)

@@ -37,12 +37,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.cost import WindowSet
-from repro.core.dp import TimeWindowConstraint
 from repro.core.engine import ArtifactStore
 from repro.core.planner import ArrivalRates, PlannerConfig, QueueAwareDpPlanner
 from repro.errors import ConfigurationError, PredictionError
-from repro.route.road import RoadSegment, SignalSite
+from repro.route.road import RoadSegment
 from repro.signal.queue import QueueLengthModel
 from repro.vehicle.params import VehicleParams
 
@@ -273,12 +271,5 @@ class ChanceConstrainedPlanner(QueueAwareDpPlanner):
         """The extra shrink applied to every queue-free window (s)."""
         return self.residuals.margin_for(self.chance_level)
 
-    def _constraint_from_windows(
-        self, site: SignalSite, windows: WindowSet
-    ) -> TimeWindowConstraint:
-        return TimeWindowConstraint(
-            position_m=site.position_m,
-            windows=windows.shrunk(self.config.window_margin_s + self.chance_margin_s),
-            mode=self.config.constraint_mode,
-            penalty_j=self.config.penalty_j,
-        )
+    def _window_margin_s(self) -> float:
+        return self.config.window_margin_s + self.chance_margin_s

@@ -1,12 +1,14 @@
 """The warm-hit path pinned to the algorithms it replaced.
 
 A plan-cache hit re-anchors the cached profile at the new departure and
-re-checks its signal arrivals against ``planner.signal_constraints``.
-Those windows are built in place on arrays, and the shift reuses the
-cached profile's validated arrays.  Each test here keeps the previous,
-object-by-object algorithm as a reference and requires bit-identical
-results: the windows of every planner kind at random departures, the
-revalidation decisions, and the shifted arrival times.
+re-checks its signal arrivals with ``planner.arrivals_in_windows``,
+which builds each signal's windows only as far as its arrival.  The
+DP's windows (``planner.signal_constraints``) are built in place on
+arrays, and the shift reuses the cached profile's validated arrays.
+Each test here keeps the previous, object-by-object algorithm over the
+full horizon as a reference and requires bit-identical results: the
+windows of every planner kind at random departures, the revalidation
+decisions, and the shifted arrival times.
 """
 
 from __future__ import annotations
@@ -25,10 +27,13 @@ from repro.core.engine import ArtifactStore
 from repro.core.horizon import RecedingHorizonPlanner
 from repro.core.planner import (
     BaselineDpPlanner,
+    PlannerConfig,
     QueueAwareDpPlanner,
     UnconstrainedDpPlanner,
 )
 from repro.core.profile import VelocityProfile
+from repro.route.road import RoadSegment, SignalSite, SpeedLimitZone
+from repro.signal.light import TrafficLight
 from repro.core.uncertainty import ChanceConstrainedPlanner, ResidualModel
 from repro.signal.queue import QueueWindow
 from repro.units import vehicles_per_hour_to_per_second
@@ -131,9 +136,13 @@ def reference_revalidate(kind, planner, profile, depart_s):
         dwell_s=profile.dwell_s,
         start_time_s=depart_s,
     )
+    return reference_decision(kind, planner, fresh.arrival_time_at, depart_s)
+
+
+def reference_decision(kind, planner, arrival_at, depart_s):
+    """Whether ``arrival_at(position)`` lies in every full-horizon window."""
     for position, windows in reference_constraints(kind, planner, depart_s):
-        arrival = fresh.arrival_time_at(position)
-        if not bool(windows.contains(np.asarray([arrival]))[0]):
+        if not bool(windows.contains(np.asarray([arrival_at(position)]))[0]):
             return False
     return True
 
@@ -298,3 +307,173 @@ class TestShiftedProfile:
         profile.shifted_to(12_345.0)
         assert profile.arrival_times_s.tobytes() == before
         assert profile.start_time_s == 100.0
+
+
+# ----------------------------------------------------------------------
+# Cut-horizon revalidation decides as the full-horizon reference
+# ----------------------------------------------------------------------
+def _zero_red_road():
+    """Two signals with no red: consecutive green windows touch."""
+    return RoadSegment(
+        name="zero-red test road",
+        length_m=1500.0,
+        zones=[SpeedLimitZone(0.0, 1500.0, v_max_ms=15.0, v_min_ms=8.0)],
+        signals=[
+            SignalSite(position_m=500.0, light=TrafficLight(red_s=0.0, green_s=30.0)),
+            SignalSite(
+                position_m=1100.0, light=TrafficLight(red_s=0.0, green_s=45.0, offset_s=7.5)
+            ),
+        ],
+    )
+
+
+def _varying_rate(t):
+    """A forecast that alternates between a light and a heavy cycle."""
+    return RATE * (1.6 if int(t // 60.0) % 2 else 0.4)
+
+
+class ArrivalsAt:
+    """A profile stand-in that reaches each signal at a chosen time."""
+
+    def __init__(self, arrivals):
+        self.arrivals = arrivals
+
+    def arrival_time_at(self, position_m):
+        return self.arrivals[position_m]
+
+
+@pytest.fixture(scope="module")
+def cut_cases(planners, us25, coarse_config):
+    """``name -> (reference kind, planner)``, edge cases beside every kind."""
+    short = PlannerConfig(
+        v_step_ms=1.0, s_step_m=50.0, t_bin_s=2.0, horizon_s=97.3, window_margin_s=2.0
+    )
+    zero_red = _zero_red_road()
+    cases = {kind: (kind, planner) for kind, planner in planners.items()}
+    cases.update({
+        "varying-rate": (
+            "proposed", QueueAwareDpPlanner(us25, _varying_rate, config=coarse_config)
+        ),
+        "zero-red-green": ("baseline", BaselineDpPlanner(zero_red, config=short)),
+        "zero-red-empty-queue": (
+            "proposed", QueueAwareDpPlanner(zero_red, 0.0, config=coarse_config)
+        ),
+        "short-horizon-proposed": ("proposed", QueueAwareDpPlanner(us25, RATE, config=short)),
+        "short-horizon-baseline": ("baseline", BaselineDpPlanner(us25, config=short)),
+    })
+    return cases
+
+
+CUT_CASES = (
+    PLANNER_KINDS
+    + ("varying-rate", "zero-red-green", "zero-red-empty-queue")
+    + ("short-horizon-proposed", "short-horizon-baseline")
+)
+
+
+@st.composite
+def arrival_picks(draw, n_signals):
+    """Per signal: a free arrival, or an edge of some window moved by -1/0/+1 ulp."""
+    return [
+        (
+            draw(st.sampled_from(("free", "start", "end", "horizon"))),
+            draw(st.floats(min_value=0.0, max_value=1.0, width=64)),
+            draw(st.integers(min_value=0, max_value=10**6)),
+            draw(st.sampled_from((-1, 0, 1))),
+        )
+        for _ in range(n_signals)
+    ]
+
+
+def _arrival(pick, depart, horizon, windows):
+    """One arrival time for a drawn pick (see :func:`arrival_picks`)."""
+    mode, u, index, ulps = pick
+    if mode == "free" or (mode != "horizon" and not windows):
+        return depart + u * (horizon + 150.0)
+    if mode == "horizon":
+        edge = depart + horizon
+    else:
+        window = windows[index % len(windows)]
+        edge = window.start_s if mode == "start" else window.end_s
+    direction = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        edge = float(np.nextafter(edge, direction))
+    return max(edge, depart)
+
+
+def _raw_windows(kind, planner, site, depart):
+    """A signal's unshrunk full-horizon windows, by the reference build."""
+    horizon = planner.config.horizon_s
+    if kind == "baseline":
+        return [QueueWindow(a, b) for a, b in site.light.green_windows(horizon, depart)]
+    if kind == "unconstrained":
+        return []
+    inner = planner.inner if kind == "receding" else planner
+    return reference_empty_windows(
+        inner.queue_model(site.position_m), depart, horizon, inner._rate_for(site)
+    )
+
+
+class TestCutHorizonRevalidation:
+    @pytest.mark.parametrize("name", CUT_CASES)
+    @settings(max_examples=60, deadline=None)
+    @given(depart=departures, data=st.data())
+    def test_decides_as_the_full_horizon_reference(self, cut_cases, name, depart, data):
+        kind, planner = cut_cases[name]
+        signals = planner.road.signals
+        picks = data.draw(arrival_picks(len(signals)))
+        shrunk = dict(reference_constraints(kind, planner, depart))
+        arrivals = {}
+        for site, pick in zip(signals, picks):
+            windows = _raw_windows(kind, planner, site, depart)
+            if site.position_m in shrunk:
+                windows += shrunk[site.position_m].as_queue_windows()
+            arrivals[site.position_m] = _arrival(
+                pick, depart, planner.config.horizon_s, windows
+            )
+        profile = ArrivalsAt(arrivals)
+        want = reference_decision(kind, planner, profile.arrival_time_at, depart)
+        assert planner.arrivals_in_windows(profile, depart) == want
+
+    @pytest.mark.parametrize("name", CUT_CASES)
+    def test_every_window_edge_decides_as_the_reference(self, cut_cases, name):
+        """Each signal's arrival walked over every shrunk window edge, ±1 ulp."""
+        kind, planner = cut_cases[name]
+        rng = np.random.default_rng(11)
+        for depart in (0.0, 12.25, 333.0, *rng.uniform(0.0, 1e5, size=6)):
+            reference = reference_constraints(kind, planner, depart)
+            for position, windows in reference:
+                for window in windows.as_queue_windows():
+                    for edge in (window.start_s, window.end_s):
+                        for t in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                            # Every other signal arrives at its first window's start.
+                            arrivals = {
+                                pos: float(t) if pos == position else next(
+                                    (w.start_s for w in ws.as_queue_windows()), depart
+                                )
+                                for pos, ws in reference
+                            }
+                            profile = ArrivalsAt(arrivals)
+                            want = reference_decision(
+                                kind, planner, profile.arrival_time_at, depart
+                            )
+                            assert planner.arrivals_in_windows(profile, depart) == want
+
+    def test_hit_path_builds_windows_once_per_signal(self, cut_cases, monkeypatch):
+        """One ``empty_windows`` call per signal, each over a cut horizon."""
+        from repro.signal.queue import QueueLengthModel
+
+        _, planner = cut_cases["proposed"]
+        calls = []
+        original = QueueLengthModel.empty_windows
+
+        def spy(model, start_s, horizon_s, arrival_rate):
+            calls.append(horizon_s)
+            return original(model, start_s, horizon_s, arrival_rate)
+
+        monkeypatch.setattr(QueueLengthModel, "empty_windows", spy)
+        solved = planner.plan(start_time_s=100.0, max_trip_time_s=320.0).profile
+        calls.clear()
+        assert planner.arrivals_in_windows(solved, 100.0)
+        assert len(calls) == len(planner.road.signals)
+        assert all(h < planner.config.horizon_s for h in calls)

@@ -1,5 +1,6 @@
 """The TCP front door: admission, containment, deadlines, drain."""
 
+import asyncio
 import gc
 import json
 import socket
@@ -450,6 +451,29 @@ class TestGracefulDrain:
         assert handle.final_stats is not None
         assert handle.final_stats["server"]["served"] == 1
 
+
+    def test_drain_ends_idle_connection_handlers(self):
+        """Regression: the drain closed its writers but did not await the
+        connection handlers, so a handler parked in its idle read was
+        still pending when the drain returned, and was destroyed with the
+        loop without running its ``finally``."""
+
+        async def scenario():
+            server = PlanServer(StubPlannerService())
+            await server.start()
+            _, writer = await asyncio.open_connection(*server.address)
+            for _ in range(500):
+                if server.stats.connections:
+                    break
+                await asyncio.sleep(0.01)
+            await server.drain(timeout_s=5.0)
+            pending = [t for t in asyncio.all_tasks() if t is not asyncio.current_task()]
+            writer.close()
+            return server.stats.connections, pending
+
+        connections, pending = asyncio.run(scenario())
+        assert connections == 1
+        assert pending == []
 
     def test_drained_server_is_freed_without_the_cycle_collector(self):
         """Regression: the asyncio server kept a reference to the plan

@@ -417,6 +417,81 @@ class TestEncodeMatchesPerFloat:
         assert wire.encode_response(resp) == per_float_response_bytes(resp)
 
 
+class TestRenderedOncePerPlan:
+    """The profile's array text is rendered once and spliced into every reply."""
+
+    @staticmethod
+    def _response(plan, vehicle_id="ev-7", corridor="elm-street", energy=12.5):
+        return PlanResponse(
+            vehicle_id=vehicle_id,
+            profile=plan,
+            energy_mah=energy,
+            trip_time_s=123.456,
+            cache_hit=True,
+            compute_time_s=0.0,
+            corridor_id=corridor,
+        )
+
+    def test_cached_plan_and_shifted_copies_cold_then_warm(self):
+        cached = VelocityProfile(
+            [0.0, 120.5, 300.25, 512.0], [8.0, 11.5, 0.0, 9.75], [0.0, 0.0, 4.5, 0.0],
+            start_time_s=17.5,
+        )
+        copies = [cached.shifted_to(s) for s in (0.0, 1234.5, 99_999.125)]
+        assert wire._ARRAYS_TEXT not in cached._renders
+        first = self._response(copies[0])
+        assert wire.encode_response(first) == per_float_response_bytes(first)
+        # The copy's rendering landed in the memo the cached plan shares.
+        assert wire._ARRAYS_TEXT in cached._renders
+        for plan in [cached, *copies]:
+            resp = self._response(plan)
+            assert wire.encode_response(resp) == per_float_response_bytes(resp)
+        # A plan rebuilt from the same arrays has a memo of its own.
+        rebuilt = VelocityProfile(
+            cached.positions_m, cached.speeds_ms, cached.dwell_s, start_time_s=17.5
+        )
+        assert wire._ARRAYS_TEXT not in rebuilt._renders
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        profile=profiles(),
+        vehicle_id=st.text(min_size=1, max_size=12),
+        corridor=st.text(min_size=1, max_size=8),
+        energy=finite_double,
+        starts=st.lists(
+            st.floats(min_value=0.0, max_value=1e6, width=64), min_size=1, max_size=4
+        ),
+    )
+    def test_any_ids_and_copies_match_the_per_float_encoder(
+        self, profile, vehicle_id, corridor, energy, starts
+    ):
+        copies = [profile.shifted_to(s) for s in starts]
+        # The first copy encodes with the memo cold, the rest with it warm.
+        for plan in [*copies, profile]:
+            resp = self._response(plan, vehicle_id, corridor, energy)
+            assert wire.encode_response(resp) == per_float_response_bytes(resp)
+
+    def test_quotes_and_non_ascii_ids_render_identically(self):
+        plan = VelocityProfile([0.0, 50.0, 75.5], [5.0, 6.25, 7.0], start_time_s=3.0)
+        for vehicle_id in ('ev "7"', "véhicule-ü", "车辆\\n", "\u2028\x00", "\\\""):
+            resp = self._response(plan.shifted_to(10.0), vehicle_id, vehicle_id)
+            assert wire.encode_response(resp) == per_float_response_bytes(resp)
+            assert wire.decode_response(wire.encode_response(resp)).vehicle_id == vehicle_id
+
+    def test_non_finite_values_still_refused_typed(self):
+        plan = VelocityProfile([0.0, 50.0, 75.5], [5.0, 6.25, 7.0], start_time_s=3.0)
+        # The profile's own checks let a NaN speed through.
+        broken = VelocityProfile([0.0, 50.0, 75.5], [5.0, float("nan"), 7.0])
+        for resp in (
+            self._response(plan, energy=float("inf")),
+            self._response(plan.shifted_to(float("nan"))),
+            self._response(broken),
+            self._response(broken.shifted_to(2.0)),
+        ):
+            with pytest.raises(WireProtocolError, match="non-finite"):
+                wire.encode_response(resp)
+
+
 class TestOutOfRangeNumbers:
     """A number no double holds is a typed wire error, never an OverflowError."""
 
