@@ -53,7 +53,7 @@ import json
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
 from repro.cloud import wire
@@ -121,6 +121,50 @@ class ServerStats:
     peak_in_flight: int = 0
 
 
+class _IdleDeadline:
+    """One connection's idle read deadline, kept by a single timer.
+
+    ``asyncio.wait_for`` around each read would create a task, a timer
+    and a future per frame.  Instead the handler notes when it starts
+    waiting for bytes (:attr:`waiting_since`, loop time) and clears the
+    note while it serves what arrived.  The one timer checks the note
+    when it fires: a read that has waited ``timeout_s`` calls
+    ``on_expiry`` once; otherwise the timer re-arms for the moment the
+    current wait would reach ``timeout_s``, or for a full ``timeout_s``
+    when no read is pending.  Time spent serving a frame never counts,
+    as it did not under a per-read deadline.
+    """
+
+    def __init__(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        timeout_s: float,
+        on_expiry: Callable[[], None],
+    ) -> None:
+        self.waiting_since: Optional[float] = None
+        self.expired = False
+        self._loop = loop
+        self._timeout_s = timeout_s
+        self._on_expiry = on_expiry
+        self._timer = loop.call_later(timeout_s, self._fire)
+
+    def _fire(self) -> None:
+        now = self._loop.time()
+        if self.waiting_since is None:
+            due = now + self._timeout_s
+        else:
+            due = self.waiting_since + self._timeout_s
+            if due <= now:
+                self.expired = True
+                self._on_expiry()
+                return
+        self._timer = self._loop.call_at(due, self._fire)
+
+    def cancel(self) -> None:
+        """Stop the timer (the connection is closing)."""
+        self._timer.cancel()
+
+
 class PlanServer:
     """An asyncio TCP front door over a planning service.
 
@@ -137,7 +181,8 @@ class PlanServer:
             requests above this are shed with ``busy``.
         request_timeout_s: Serving deadline per admitted request; also
             the dispatcher deadline, so queued work expires typed.
-        idle_timeout_s: Per-connection read deadline between frames.
+        idle_timeout_s: Per-connection deadline on waiting for bytes
+            between frames; time spent serving a frame does not count.
         write_timeout_s: Per-response write (drain) deadline.
         max_frame_bytes: Frame-size cap enforced before allocation.
         stats_path: When set, the drain flushes the final stats
@@ -384,17 +429,19 @@ class PlanServer:
         assembler = FrameAssembler(
             max_frame_bytes=self.max_frame_bytes, what=f"connection {peer}"
         )
+        loop = asyncio.get_running_loop()
+        idle = _IdleDeadline(loop, self.idle_timeout_s, lambda: self._reap_idle(writer))
         try:
             while True:
+                idle.waiting_since = loop.time()
                 try:
-                    chunk = await asyncio.wait_for(
-                        reader.read(65536), timeout=self.idle_timeout_s
-                    )
-                except asyncio.TimeoutError:
-                    self.stats.read_timeouts += 1
-                    registry.inc(f"{self.name}.read_timeouts")
-                    return
+                    chunk = await reader.read(65536)
                 except (ConnectionError, OSError):
+                    return
+                idle.waiting_since = None
+                if idle.expired:
+                    # Reaped while waiting: counted as a read timeout,
+                    # whatever partial frame the peer had begun.
                     return
                 if not chunk:
                     # EOF.  A partial buffered frame is a truncation the
@@ -424,9 +471,20 @@ class PlanServer:
                     if not await self._handle_frame(payload, writer, registry):
                         return
         finally:
+            idle.cancel()
             self._writers.discard(writer)
             self._handlers.discard(handler)
             writer.close()
+
+    def _reap_idle(self, writer: asyncio.StreamWriter) -> None:
+        """Close a connection its idle deadline expired on.
+
+        Closing the transport hands the handler's pending read
+        end-of-stream, so the handler returns through its ``finally``.
+        """
+        self.stats.read_timeouts += 1
+        obs.get_registry().inc(f"{self.name}.read_timeouts")
+        writer.close()
 
     async def _handle_frame(
         self,

@@ -403,9 +403,15 @@ class CloudPlannerService:
             self.stats.cache_misses += 1
         registry.inc(f"{self.name}.misses")
         if key is not None:
+            # Every later hit of the key shares these arrays (and the
+            # timings and text derived from them), so a write through any
+            # answer must raise rather than change them all.
+            profile = solution.profile
+            for array in (profile.positions_m, profile.speeds_ms, profile.dwell_s):
+                array.flags.writeable = False
             self.plan_cache.put(
                 key,
-                (solution.profile, solution.energy_mah, solution.trip_time_s),
+                (profile, solution.energy_mah, solution.trip_time_s),
             )
         return PlanResponse(
             vehicle_id=req.vehicle_id,

@@ -5,8 +5,9 @@ Two pieces live here:
 * :func:`price_segments` — the per-segment matrices of electrical
   energies for every (v_start, v_end) pair on the velocity grid, i.e. the
   ``zeta(v(s_i), a(s_i))`` term of Eq. 9, with infeasible accelerations
-  marked infinite (the ``+inf`` branch), stacked over a corridor's
-  segments; :class:`SegmentEnergyTable` is one segment's matrix.
+  marked infinite (the ``+inf`` branch), yielded in blocks of
+  consecutive segments; :class:`SegmentEnergyTable` is one segment's
+  matrix.
 * :class:`WindowSet` — an ordered set of absolute time windows with a
   vectorized membership test, used to apply the ``T_q`` penalty of
   Eq. 11/12 to whole time-bin rows at once.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from operator import attrgetter
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +29,8 @@ _START_OF = attrgetter("start_s")
 
 #: Upper bound on the (segment, v, v') entries :func:`price_segments`
 #: prices per block, which bounds its temporary arrays (~8 float64
-#: temporaries of this many entries are alive at once).
+#: temporaries of this many entries are alive at once) and the blocks
+#: it yields.
 _BLOCK_ENTRIES = 1 << 13
 
 
@@ -39,8 +41,8 @@ def price_segments(
     grades_rad: np.ndarray,
     a_min: float,
     a_max: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eq. 9 tables of consecutive constant-grade segments, stacked.
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Eq. 9 tables of consecutive constant-grade segments, block by block.
 
     Args:
         model: Vehicle consumption model.
@@ -50,18 +52,21 @@ def price_segments(
         a_min: Minimum allowed acceleration (m/s^2, negative).
         a_max: Maximum allowed acceleration (m/s^2, positive).
 
-    Returns:
-        ``(energy_j, travel_s, feasible)``, each of shape
-        ``(segments, v, v')``.  ``energy_j[i, j, j2]`` is the electrical
-        energy (J, negative under net regen) to go from ``v_grid[j]`` to
-        ``v_grid[j2]`` over segment ``i`` at constant acceleration, and
-        ``travel_s`` its traversal time; entries violating Eq. 7b or with
-        zero average speed are ``+inf`` in both, and ``False`` in
-        ``feasible``.
+    Yields:
+        ``(energy_j, travel_s, feasible)`` of each block of consecutive
+        segments, in route order; each has shape ``(block, v, v')``, and
+        the blocks together cover every segment.  ``energy_j[i, j, j2]``
+        is the electrical energy (J, negative under net regen) to go from
+        ``v_grid[j]`` to ``v_grid[j2]`` over the block's segment ``i`` at
+        constant acceleration, and ``travel_s`` its traversal time;
+        entries violating Eq. 7b or with zero average speed are ``+inf``
+        in both, and ``False`` in ``feasible``.
 
-    Segments are priced in blocks of at most ``_BLOCK_ENTRIES`` entries:
-    the velocity arithmetic broadcasts over a block, and every entry is
-    bit-identical to pricing its segment alone.
+    A block holds at most ``_BLOCK_ENTRIES`` entries (at least one
+    segment): the velocity arithmetic broadcasts over a block, and every
+    entry is bit-identical to pricing its segment alone.  A caller that
+    keeps only what it extracts from each block never holds a
+    ``(segments, v, v')`` table.
 
     Raises:
         ValueError: Some segment length is not positive.
@@ -69,9 +74,6 @@ def price_segments(
     distances_m = np.asarray(distances_m, dtype=float)
     grades_rad = np.asarray(grades_rad, dtype=float)
     n_seg, n_v = distances_m.size, v_grid.size
-    energy_j = np.empty((n_seg, n_v, n_v))
-    travel_s = np.empty((n_seg, n_v, n_v))
-    feasible = np.empty((n_seg, n_v, n_v), dtype=bool)
     v0 = v_grid[:, None]
     v1 = v_grid[None, :]
     dv2 = np.square(v1) - np.square(v0)
@@ -83,13 +85,10 @@ def price_segments(
         ds = distances_m[lo:lo + block, None, None]
         energy = model.segment_energy_j(v0, v1, ds, grades_rad[lo:lo + block, None, None])
         accel = dv2 / (2.0 * ds)
-        ok = feasible[lo:lo + block]
-        np.greater_equal(accel, a_min - 1e-12, out=ok)
+        ok = np.greater_equal(accel, a_min - 1e-12)
         ok &= accel <= a_max + 1e-12
         ok &= moving
-        energy_j[lo:lo + block] = np.where(ok, energy, np.inf)
-        travel_s[lo:lo + block] = np.where(ok, ds / safe_avg, np.inf)
-    return energy_j, travel_s, feasible
+        yield np.where(ok, energy, np.inf), np.where(ok, ds / safe_avg, np.inf), ok
 
 
 class SegmentEnergyTable:
@@ -103,9 +102,9 @@ class SegmentEnergyTable:
         a_min: Minimum allowed acceleration (m/s^2, negative).
         a_max: Maximum allowed acceleration (m/s^2, positive).
 
-    The table is :func:`price_segments` of a one-segment block:
-    ``E[j, j2]`` is the electrical energy (J, negative under net regen)
-    to go from ``v_grid[j]`` to ``v_grid[j2]`` over the segment at
+    The table is the one block :func:`price_segments` yields for a lone
+    segment: ``E[j, j2]`` is the electrical energy (J, negative under net
+    regen) to go from ``v_grid[j]`` to ``v_grid[j2]`` over the segment at
     constant acceleration; entries violating Eq. 7b or with zero average
     speed are ``+inf``.
     """
@@ -120,7 +119,7 @@ class SegmentEnergyTable:
         a_max: float,
     ) -> None:
         self.distance_m = float(distance_m)
-        energy_j, travel_s, feasible = price_segments(
+        ((energy_j, travel_s, feasible),) = price_segments(
             model, v_grid, np.asarray([distance_m]), np.asarray([grade_rad]), a_min, a_max
         )
         self.energy_j = energy_j[0]

@@ -253,8 +253,8 @@ class DpSolver:
                 self._pairs = artifacts.pairs
             else:
                 # A solver-local band cannot live in shared artifacts; the
-                # base masks are intersected here and the (much cheaper)
-                # pair extraction reruns over the shared tables.
+                # base masks are intersected here and the shared pairs
+                # filtered down to the band.
                 self._allowed = artifacts.restrict_allowed(velocity_bounds)
                 self._pairs = artifacts.pairs_for(self._allowed)
             span.add(

@@ -1,13 +1,14 @@
 """Precomputed corridor artifacts: the offline half of the DP split.
 
 Everything the DP prices a ``(segment, v, v')`` transition from is static
-corridor data — the velocity grid, the per-segment Eq. 9 energy tables,
-the admissible-velocity masks, the stop-sign dwells and the optimistic
-min-time-to-go bound.  Real-time eco-driving systems get their latency
-budget precisely by separating this *offline corridor precomputation*
-from the *online solve*; :class:`CorridorArtifacts` is that offline
-product, built once by :meth:`CorridorArtifacts.build` and shared by
-every solver over the same corridor.
+corridor data — the velocity grid, the feasible transitions with their
+Eq. 9 energies and times, the admissible-velocity masks, the stop-sign
+dwells and the optimistic min-time-to-go bound.  Real-time eco-driving
+systems get their latency budget precisely by separating this *offline
+corridor precomputation* from the *online solve*;
+:class:`CorridorArtifacts` is that offline product, built once by
+:meth:`CorridorArtifacts.build` and shared by every solver over the
+same corridor.
 
 Identity is content-addressed: :func:`corridor_digest` renders the
 canonical build inputs — road geometry, vehicle physics and grid
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -49,10 +50,7 @@ _DIGEST_VERSION = "corridor-artifacts-v2"
 
 #: The array fields of :class:`CorridorArtifacts` (besides its ``pairs``)
 #: and of :class:`TransitionPairs`.
-_ARRAY_FIELDS = (
-    "positions", "v_grid", "allowed", "dwell_at",
-    "energy_j", "travel_s", "feasible", "min_time_to_go",
-)
+_ARRAY_FIELDS = ("positions", "v_grid", "allowed", "dwell_at", "min_time_to_go")
 _PAIR_FIELDS = ("offsets", "j", "j2", "energy_j", "dt_s")
 
 
@@ -162,8 +160,10 @@ class TransitionPairs:
     """The feasible ``(segment, v, v')`` transitions of a corridor, stacked.
 
     Transitions are in segment-major, then row-major ``(j, j2)`` order —
-    one :func:`numpy.nonzero` over the stacked mask — so each segment's
-    transitions are one contiguous slice, sorted by source velocity.
+    the order of one :func:`numpy.nonzero` over a stacked
+    ``(segments, v, v')`` mask — so each segment's transitions are one
+    contiguous slice, sorted by source velocity.  The arrays are
+    read-only.
 
     Attributes:
         offsets: ``(segments, levels + 1)`` CSR row offsets into the
@@ -183,35 +183,8 @@ class TransitionPairs:
     energy_j: np.ndarray
     dt_s: np.ndarray
 
-    @classmethod
-    def extract(
-        cls,
-        energy_j: np.ndarray,
-        travel_s: np.ndarray,
-        feasible: np.ndarray,
-        allowed: np.ndarray,
-        dwell_at: np.ndarray,
-    ) -> "TransitionPairs":
-        """The transitions feasible under Eq. 7b whose endpoints ``allowed`` admits.
-
-        Args:
-            energy_j, travel_s, feasible: Stacked ``(segments, v, v')``
-                tables from :func:`~repro.core.cost.price_segments`.
-            allowed: ``(points, v)`` admissible-velocity masks.
-            dwell_at: Dwell charged when departing each point (s).
-        """
-        n_seg, n_v = feasible.shape[:2]
-        mask = feasible & allowed[:-1, :, None]
-        mask &= allowed[1:, None, :]
-        seg, j, j2 = np.nonzero(mask)
-        dt_s = travel_s[seg, j, j2]
-        dt_s += dwell_at[seg]
-        ends = np.cumsum(mask.sum(axis=2))
-        offsets = np.empty((n_seg, n_v + 1), dtype=np.int64)
-        offsets[:, 1:] = ends.reshape(n_seg, n_v)
-        offsets[0, 0] = 0
-        offsets[1:, 0] = offsets[:-1, -1]
-        return cls(offsets, j, j2, energy_j[seg, j, j2], dt_s)
+    def __post_init__(self) -> None:
+        _freeze(getattr(self, name) for name in _PAIR_FIELDS)
 
     @property
     def nbytes(self) -> int:
@@ -237,18 +210,17 @@ class CorridorArtifacts:
         allowed: Per-point boolean masks of admissible velocity indices
             (Eq. 7a/7c), *without* any solver-local velocity bounds.
         dwell_at: Dwell charged when departing each grid point (s).
-        energy_j: ``(segments, v, v')`` Eq. 9 energies (J), ``+inf``
-            where infeasible (:func:`~repro.core.cost.price_segments`).
-        travel_s: ``(segments, v, v')`` traversal times (s), ``+inf``
-            where infeasible.
-        feasible: ``(segments, v, v')`` Eq. 7b feasibility.
         min_time_to_go: Optimistic remaining travel time per point (s).
-        pairs: The feasible transitions with ``allowed`` already applied,
+        pairs: The transitions feasible under Eq. 7b with ``allowed``
+            already applied, with their Eq. 9 energies and times,
             stacked with their CSR offsets — the form the stage kernel
             consumes directly.
 
-    The arrays are shared, not copied, between every solver holding the
-    same artifacts; nothing in the solve path mutates them.
+    The dense ``(segments, v, v')`` tables the pairs are priced from are
+    not kept (:meth:`build`).  The arrays are shared, not copied, between
+    every solver holding the same artifacts, and are marked read-only at
+    construction, so a write through any of them raises instead of
+    changing every later solve.
     """
 
     digest: str
@@ -263,11 +235,11 @@ class CorridorArtifacts:
     v_grid: np.ndarray
     allowed: np.ndarray
     dwell_at: np.ndarray
-    energy_j: np.ndarray
-    travel_s: np.ndarray
-    feasible: np.ndarray
     min_time_to_go: np.ndarray
     pairs: TransitionPairs
+
+    def __post_init__(self) -> None:
+        _freeze(getattr(self, name) for name in _ARRAY_FIELDS)
 
     @classmethod
     def build(
@@ -286,7 +258,10 @@ class CorridorArtifacts:
         This is the offline (amortizable) half of every DP solve; the
         construction replicates the pre-split solver's operations
         exactly, so a solver running on built artifacts produces
-        bit-identical solutions to one building its own.
+        bit-identical solutions to one building its own.  The segments
+        are priced in blocks (:func:`~repro.core.cost.price_segments`),
+        and each block is reduced to its transitions and its segments'
+        fastest traversals before the next is priced.
         ``environment=None`` builds under (and digests as)
         :data:`~repro.vehicle.environment.NOMINAL_ENVIRONMENT`.
         """
@@ -311,7 +286,7 @@ class CorridorArtifacts:
             road, vehicle, positions, v_grid, s_step_m, enforce_min_speed
         )
         dwell_at = _build_dwells(road, positions, stop_dwell_s)
-        energy_j, travel_s, feasible = price_segments(
+        blocks = price_segments(
             model,
             v_grid,
             np.diff(positions),
@@ -319,8 +294,8 @@ class CorridorArtifacts:
             vehicle.min_accel_ms2,
             vehicle.max_accel_ms2,
         )
-        min_time_to_go = _build_min_time_to_go(travel_s, dwell_at)
-        pairs = TransitionPairs.extract(energy_j, travel_s, feasible, allowed, dwell_at)
+        pairs, fastest = _price_pairs(blocks, allowed, dwell_at)
+        min_time_to_go = _build_min_time_to_go(fastest, dwell_at)
         return cls(
             digest=corridor_digest(
                 road,
@@ -342,37 +317,69 @@ class CorridorArtifacts:
             v_grid=v_grid,
             allowed=allowed,
             dwell_at=dwell_at,
-            energy_j=energy_j,
-            travel_s=travel_s,
-            feasible=feasible,
             min_time_to_go=min_time_to_go,
             pairs=pairs,
         )
 
     @property
     def n_segments(self) -> int:
-        """Number of route segments covered by the tables."""
+        """Number of route segments the transitions cover."""
         return self.positions.size - 1
 
     @property
     def nbytes(self) -> int:
-        """Approximate memory footprint of the array payload (bytes).
+        """Bytes of every array held, the transitions included.
 
-        Store sizing guidance: one default-resolution US-25 build is a
-        few tens of MB; size the store capacity so
-        ``capacity * nbytes`` fits comfortably in memory.
+        Store sizing guidance: one US-25 build holds 0.31 MB at the
+        serving benchmark's grid (1 m/s, 25 m) and 1.39 MB at the
+        paper's default grid (0.5 m/s, 10 m); the dense
+        ``(segments, v, v')`` tables its pairs are priced from, which
+        are not kept, would add 1.26 and 11.42 MB.  Size the store
+        capacity so ``capacity * nbytes`` fits comfortably in memory.
         """
         return self.pairs.nbytes + sum(getattr(self, name).nbytes for name in _ARRAY_FIELDS)
 
     def pairs_for(self, allowed: np.ndarray) -> TransitionPairs:
         """The transitions whose endpoints a restricted ``allowed`` admits.
 
-        :meth:`build` extracts :attr:`pairs` the same way from the base
-        masks; a solver with a velocity band (see
-        :meth:`restrict_allowed`) extracts its own from the shared tables.
+        A solver with a velocity band (see :meth:`restrict_allowed`)
+        filters :attr:`pairs` down to its own.  The result equals
+        extracting the transitions under ``allowed`` from the dense
+        tables :attr:`pairs` were priced from, order included.
+
+        Raises:
+            ConfigurationError: ``allowed`` is not a restriction of
+                :attr:`allowed` (a different shape, or a velocity the
+                base masks refuse).
         """
-        return TransitionPairs.extract(
-            self.energy_j, self.travel_s, self.feasible, allowed, self.dwell_at
+        allowed = np.asarray(allowed)
+        if allowed.dtype != bool or allowed.shape != self.allowed.shape:
+            raise ConfigurationError(
+                f"velocity masks must be bool {self.allowed.shape}, "
+                f"got {allowed.dtype} {allowed.shape}"
+            )
+        widened = np.argwhere(allowed & ~self.allowed)
+        if widened.size:
+            i, j = widened[0]
+            raise ConfigurationError(
+                f"velocity {self.v_grid[j]:.2f} m/s at {self.positions[i]:.1f} m is "
+                "refused by the corridor's own masks; a band can only restrict them"
+            )
+        base = self.pairs
+        sizes = base.offsets[:, -1] - base.offsets[:, 0]
+        seg = np.repeat(np.arange(sizes.size), sizes)
+        keep = allowed[seg, base.j]
+        keep &= allowed[seg + 1, base.j2]
+        # The kept transitions keep their order; a row's new offset is the
+        # number kept before its old one.
+        kept_before = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        return TransitionPairs(
+            kept_before[base.offsets],
+            base.j[keep],
+            base.j2[keep],
+            base.energy_j[keep],
+            base.dt_s[keep],
         )
 
     def restrict_allowed(
@@ -444,16 +451,65 @@ def _build_dwells(
     return dwells
 
 
-def _build_min_time_to_go(travel_s: np.ndarray, dwell_at: np.ndarray) -> np.ndarray:
+def _price_pairs(
+    blocks: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    allowed: np.ndarray,
+    dwell_at: np.ndarray,
+) -> Tuple[TransitionPairs, np.ndarray]:
+    """The transitions feasible under Eq. 7b whose endpoints ``allowed`` admits.
+
+    Each block is reduced to its transitions as it arrives, so no
+    ``(segments, v, v')`` table outlives its block.
+
+    Args:
+        blocks: The ``(energy_j, travel_s, feasible)`` blocks of
+            consecutive segments that
+            :func:`~repro.core.cost.price_segments` yields.
+        allowed: ``(points, v)`` admissible-velocity masks.
+        dwell_at: Dwell charged when departing each point (s).
+
+    Returns:
+        The transitions, and each segment's fastest feasible
+        traversal time (s; ``+inf`` for a segment with none),
+        whatever ``allowed`` admits.
+    """
+    n_v = allowed.shape[1]
+    flat_parts, energy_parts, dt_parts, fastest = [], [], [], []
+    lo = 0
+    for energy_j, travel_s, feasible in blocks:
+        hi = lo + feasible.shape[0]
+        mask = feasible & allowed[lo:hi, :, None]
+        mask &= allowed[lo + 1:hi + 1, None, :]
+        # Flat indices into the block, in np.nonzero order.
+        flat = np.flatnonzero(mask)
+        energy_parts.append(energy_j.ravel()[flat])
+        dt_parts.append(travel_s.ravel()[flat])
+        flat_parts.append(flat + lo * n_v * n_v)
+        fastest.append(travel_s.min(axis=(1, 2)))
+        lo = hi
+    row, j2 = np.divmod(np.concatenate(flat_parts), n_v)
+    seg, j = np.divmod(row, n_v)
+    dt_s = np.concatenate(dt_parts)
+    dt_s += dwell_at[seg]
+    ends = np.cumsum(np.bincount(row, minlength=lo * n_v))
+    offsets = np.empty((lo, n_v + 1), dtype=np.int64)
+    offsets[:, 1:] = ends.reshape(lo, n_v)
+    offsets[0, 0] = 0
+    offsets[1:, 0] = offsets[:-1, -1]
+    pairs = TransitionPairs(offsets, j, j2, np.concatenate(energy_parts), dt_s)
+    return pairs, np.concatenate(fastest)
+
+
+def _build_min_time_to_go(fastest: np.ndarray, dwell_at: np.ndarray) -> np.ndarray:
     """Optimistic remaining travel time from each grid point (s).
 
     An admissible bound — the fastest any label could still finish —
     used to prune labels that can no longer make the trip-time cap.
-    Uses each segment's cheapest feasible traversal time (``+inf`` marks
-    the infeasible entries) plus the mandatory stop-sign dwells, summed
-    from the destination backwards.
+    Sums each segment's fastest feasible traversal (``+inf`` for a
+    segment with none) plus the mandatory stop-sign dwells from the
+    destination backwards.
     """
-    best = travel_s.min(axis=(1, 2)).tolist()
+    best = fastest.tolist()
     dwell = dwell_at.tolist()
     to_go = np.zeros(len(best) + 1)
     remaining = 0.0
@@ -461,3 +517,9 @@ def _build_min_time_to_go(travel_s: np.ndarray, dwell_at: np.ndarray) -> np.ndar
         remaining = remaining + best[i] + dwell[i]
         to_go[i] = remaining
     return to_go
+
+
+def _freeze(arrays: Iterable[np.ndarray]) -> None:
+    """Mark held arrays read-only: artifacts are shared by every solver."""
+    for array in arrays:
+        array.flags.writeable = False

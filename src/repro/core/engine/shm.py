@@ -1,19 +1,23 @@
 """Shared-memory corridor artifacts for process-parallel serving.
 
-A :class:`~repro.core.engine.artifacts.CorridorArtifacts` build is tens
-of megabytes of read-only numpy arrays.  The process-parallel dispatch
-backend (:mod:`repro.cloud.procpool`) wants one copy of those arrays
-per *machine*, not per worker process: :class:`SharedCorridor` exports
-every array into a single :class:`multiprocessing.shared_memory.SharedMemory`
-block, and workers attach read-only views over the same physical pages —
-no rebuild, no copy, regardless of the multiprocessing start method.
+A :class:`~repro.core.engine.artifacts.CorridorArtifacts` build is a few
+read-only numpy arrays: 1.39 MB for US-25 at the paper's grid, most of
+it the transition pairs (12.81 MB while builds still held the dense
+``(segments, v, v')`` tables the pairs are priced from).  The
+process-parallel dispatch backend (:mod:`repro.cloud.procpool`) wants
+one copy of those arrays per *machine*, not per worker process:
+:class:`SharedCorridor` exports every held array into a single
+:class:`multiprocessing.shared_memory.SharedMemory` block, and workers
+attach read-only views over the same physical pages — no rebuild, no
+copy, regardless of the multiprocessing start method.
 
 The export is lossless: an attached :class:`CorridorArtifacts` carries
 the same digest and bit-identical arrays as the original, so a solver
 constructed over it produces bit-identical solutions (the store digest
-check still applies).  Attached arrays are marked read-only; nothing in
-the solve path mutates artifacts, and the flag turns an accidental
-write into an error instead of cross-process corruption.
+check still applies).  Attached arrays are read-only, as every held
+artifact array is: nothing in the solve path mutates artifacts, and the
+flag turns an accidental write into an error instead of cross-process
+corruption.
 
 Lifecycle: the exporting (parent) process owns the block and must call
 :meth:`SharedCorridor.unlink` when serving stops; workers just
@@ -234,10 +238,10 @@ class SharedCorridor:
 
 
 def _iter_arrays(artifacts: CorridorArtifacts):
-    """Every array of the bundle under a stable slot name.
+    """Every array the bundle holds, under a stable slot name.
 
-    Tables and transitions are stacked over the corridor's segments, so
-    each is one slot however long the corridor.
+    Transitions are stacked over the corridor's segments, so each array
+    is one slot however long the corridor.
     """
     for name in _ARRAY_FIELDS:
         yield name, getattr(artifacts, name)

@@ -72,11 +72,11 @@ class ArtifactStore:
 
     Args:
         capacity: Maximum number of artifact sets held at once.  Sizing
-            guidance: each entry costs
-            :attr:`CorridorArtifacts.nbytes` (tens of MB at the default
-            US-25 resolution, ~1 MB at coarse test grids); a production
-            service fronting a handful of corridors x grid resolutions
-            rarely needs more than 8-16.
+            guidance: each entry costs :attr:`CorridorArtifacts.nbytes`
+            (1.39 MB for US-25 at the paper's grid, 0.31 MB at the serving
+            benchmark's; 12.81 and 1.57 MB while builds held their dense
+            per-segment tables); a production service fronting a handful
+            of corridors x grid resolutions rarely needs more than 8-16.
         name: Metric namespace for the observability counters
             (``<name>.hits`` / ``.misses`` / ``.evictions``).  The
             default preserves the historical ``engine.store.*`` names; a

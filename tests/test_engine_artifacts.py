@@ -1,12 +1,15 @@
-"""Corridor-artifact layout: the stacked build against a per-segment oracle.
+"""Corridor-artifact layout: the pair-only build against a per-segment oracle.
 
-:meth:`CorridorArtifacts.build` prices every segment in blocks, extracts
-all transitions with one :func:`numpy.nonzero` over the stacked mask and
-builds the admissible-velocity masks without a per-point loop.  The
-oracle below is the per-segment build it replaced — a
-:class:`SegmentEnergyTable` per segment, per-segment pair extraction,
-the per-point mask loop and the backwards min-time sum — and every array
-must come out byte-equal.
+:meth:`CorridorArtifacts.build` prices the segments in blocks and keeps
+only what it extracts from each block: the transitions, their CSR
+offsets and each segment's fastest traversal.  The admissible-velocity
+masks are built without a per-point loop.  The oracle below is the
+per-segment build it replaced — a :class:`SegmentEnergyTable` per
+segment, per-segment pair extraction, the per-point mask loop and the
+backwards min-time sum — and every array must come out byte-equal.  The
+oracle's tables must equal the priced blocks, and a band's pairs
+(:meth:`CorridorArtifacts.pairs_for`) must equal extraction from the
+oracle's dense tables under the band.
 
 The shared-memory export must carry all of it, CSR offsets included, to
 an attached bundle that solves bit-identically.
@@ -14,10 +17,14 @@ an attached bundle that solves bit-identically.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.cost import SegmentEnergyTable, WindowSet
+from repro.core.cost import SegmentEnergyTable, WindowSet, price_segments
 from repro.core.dp import DpSolver, TimeWindowConstraint
 from repro.core.engine import CorridorArtifacts
 from repro.core.engine.shm import SharedCorridor
@@ -108,16 +115,57 @@ def _segment_slices(pairs, i):
     return pairs.j[lo:hi], pairs.j2[lo:hi], pairs.energy_j[lo:hi], pairs.dt_s[lo:hi]
 
 
+def _priced_blocks(artifacts):
+    """The blocks :meth:`CorridorArtifacts.build` prices, priced again."""
+    positions, vehicle = artifacts.positions, artifacts.vehicle
+    return price_segments(
+        LongitudinalModel(vehicle, artifacts.environment),
+        artifacts.v_grid,
+        np.diff(positions),
+        artifacts.road.grade_at(0.5 * (positions[:-1] + positions[1:])),
+        vehicle.min_accel_ms2,
+        vehicle.max_accel_ms2,
+    )
+
+
+def _oracle_band_pairs(tables, band, dwell_at):
+    """Segment by segment, the dense tables' transitions that ``band`` admits."""
+    pairs, offsets = [], []
+    start = 0
+    for i, table in enumerate(tables):
+        feasible = table.feasible & band[i][:, None] & band[i + 1][None, :]
+        j_arr, j2_arr = np.nonzero(feasible)
+        pairs.append((
+            j_arr, j2_arr, table.energy_j[j_arr, j2_arr],
+            table.travel_s[j_arr, j2_arr] + dwell_at[i],
+        ))
+        counts = np.bincount(j_arr, minlength=band.shape[1])
+        offsets.append(start + np.concatenate([[0], np.cumsum(counts)]))
+        start += j_arr.size
+    return pairs, np.asarray(offsets, dtype=np.int64)
+
+
+def _assert_pairs_match(got, want_pairs, want_offsets):
+    for i, want in enumerate(want_pairs):
+        for got_array, want_array in zip(_segment_slices(got, i), want):
+            assert _same_bytes(got_array, want_array)
+    assert _same_bytes(got.offsets, want_offsets)
+    # The segments tile the stacked arrays: nothing but their slices is held.
+    assert got.j.size == got.offsets[-1, -1]
+
+
 def _assert_matches_oracle(artifacts):
     tables, allowed, pairs, offsets, to_go = _oracle(artifacts)
     assert artifacts.n_segments == len(tables)
-    for i, table in enumerate(tables):
-        assert _same_bytes(artifacts.energy_j[i], table.energy_j)
-        assert _same_bytes(artifacts.travel_s[i], table.travel_s)
-        assert _same_bytes(artifacts.feasible[i], table.feasible)
-        for got, want in zip(_segment_slices(artifacts.pairs, i), pairs[i]):
-            assert _same_bytes(got, want)
-    assert _same_bytes(artifacts.pairs.offsets, offsets)
+    seg = 0
+    for energy_j, travel_s, feasible in _priced_blocks(artifacts):
+        for k in range(feasible.shape[0]):
+            assert _same_bytes(energy_j[k], tables[seg].energy_j)
+            assert _same_bytes(travel_s[k], tables[seg].travel_s)
+            assert _same_bytes(feasible[k], tables[seg].feasible)
+            seg += 1
+    assert seg == len(tables)
+    _assert_pairs_match(artifacts.pairs, pairs, offsets)
     assert _same_bytes(artifacts.allowed, allowed)
     assert _same_bytes(artifacts.min_time_to_go, to_go)
     # The oracle's dt sums read the dwells, so pin them too.
@@ -178,6 +226,10 @@ class TestStackedBuildMatchesPerSegmentOracle:
         with pytest.raises(ConfigurationError, match="no admissible velocity at 150.0 m"):
             CorridorArtifacts.build(road, vehicle, v_step_ms=1.0, s_step_m=50.0)
 
+    def test_us25_paper_grid(self, vehicle):
+        _assert_matches_oracle(CorridorArtifacts.build(us25_greenville_segment(), vehicle,
+                                                       **PAPER_GRID))
+
     def test_band_pairs_come_from_the_same_extractor(self, vehicle):
         artifacts = CorridorArtifacts.build(_graded_road(), vehicle, **BENCHMARK_GRID)
         assert _same_bytes(artifacts.pairs_for(artifacts.allowed).offsets,
@@ -191,21 +243,95 @@ class TestStackedBuildMatchesPerSegmentOracle:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory round trip
+# Band pairs: a filter over the base pairs
 # ----------------------------------------------------------------------
-def _array_fields(artifacts):
-    yield "positions", artifacts.positions
-    yield "v_grid", artifacts.v_grid
-    yield "allowed", artifacts.allowed
-    yield "dwell_at", artifacts.dwell_at
-    yield "energy_j", artifacts.energy_j
-    yield "travel_s", artifacts.travel_s
-    yield "feasible", artifacts.feasible
-    yield "min_time_to_go", artifacts.min_time_to_go
+@functools.lru_cache(maxsize=None)
+def _band_case(grid_name):
+    """A build at one grid and its oracle's per-segment tables (built once)."""
+    if grid_name == "benchmark":
+        road, grid = us25_greenville_segment(), BENCHMARK_GRID
+    else:
+        road, grid = _graded_road(), PAPER_GRID
+    artifacts = CorridorArtifacts.build(road, get_vehicle("spark_ev"), **grid)
+    return artifacts, _oracle(artifacts)[0]
+
+
+class TestBandPairsFilterTheBasePairs:
+    @pytest.mark.parametrize("grid_name", ["benchmark", "paper"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_width=st.integers(0, 12))
+    def test_band_pairs_equal_dense_extraction(self, grid_name, seed, max_width):
+        artifacts, tables = _band_case(grid_name)
+        rng = np.random.default_rng(seed)
+        n_points, n_v = artifacts.allowed.shape
+        lo = rng.integers(0, n_v, size=n_points)
+        hi = lo + rng.integers(0, max_width + 1, size=n_points)
+        levels = np.arange(n_v)
+        band = artifacts.allowed & (levels >= lo[:, None]) & (levels <= hi[:, None])
+        want_pairs, want_offsets = _oracle_band_pairs(tables, band, artifacts.dwell_at)
+        _assert_pairs_match(artifacts.pairs_for(band), want_pairs, want_offsets)
+
+    def test_refuses_a_mask_wider_than_the_base_masks(self):
+        artifacts, _ = _band_case("benchmark")
+        widened = artifacts.allowed.copy()
+        point = int(np.flatnonzero(~widened.all(axis=1))[0])
+        level = int(np.flatnonzero(~widened[point])[0])
+        widened[point, level] = True
+        with pytest.raises(ConfigurationError, match="refused by the corridor's own masks"):
+            artifacts.pairs_for(widened)
+
+    @pytest.mark.parametrize(
+        "mask",
+        [lambda a: a.allowed[:-1], lambda a: a.allowed.astype(np.int8)],
+        ids=["shape", "dtype"],
+    )
+    def test_refuses_a_mask_of_another_shape_or_dtype(self, mask):
+        artifacts, _ = _band_case("benchmark")
+        with pytest.raises(ConfigurationError, match="velocity masks must be bool"):
+            artifacts.pairs_for(mask(artifacts))
+
+
+# ----------------------------------------------------------------------
+# Footprint: only the pairs are held
+# ----------------------------------------------------------------------
+def _held_arrays(artifacts):
+    for name in ("positions", "v_grid", "allowed", "dwell_at", "min_time_to_go"):
+        yield name, getattr(artifacts, name)
     for name in ("offsets", "j", "j2", "energy_j", "dt_s"):
         yield f"pairs.{name}", getattr(artifacts.pairs, name)
 
 
+class TestHeldFootprint:
+    @pytest.mark.parametrize("grid", [BENCHMARK_GRID, PAPER_GRID], ids=["benchmark", "paper"])
+    def test_no_dense_table_is_held_and_nbytes_sums_what_is(self, vehicle, grid):
+        artifacts = CorridorArtifacts.build(us25_greenville_segment(), vehicle, **grid)
+        dense = (artifacts.n_segments, artifacts.v_grid.size, artifacts.v_grid.size)
+        held = dict(_held_arrays(artifacts))
+        assert all(array.shape != dense for array in held.values())
+        assert not any(
+            isinstance(value, np.ndarray) and value.shape == dense
+            for value in vars(artifacts).values()
+        )
+        assert artifacts.nbytes == sum(array.nbytes for array in held.values())
+
+    def test_paper_grid_us25_holds_at_most_2_mb(self, vehicle):
+        artifacts = CorridorArtifacts.build(us25_greenville_segment(), vehicle, **PAPER_GRID)
+        assert artifacts.nbytes <= 2_000_000
+
+    def test_held_arrays_are_read_only(self, vehicle):
+        artifacts = CorridorArtifacts.build(_graded_road(), vehicle, **BENCHMARK_GRID)
+        band = artifacts.pairs_for(artifacts.restrict_allowed(lambda s: (0.0, 9.0)))
+        for name, array in _held_arrays(artifacts):
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = array[(0,) * array.ndim]
+        for name in ("offsets", "j", "j2", "energy_j", "dt_s"):
+            assert not getattr(band, name).flags.writeable, name
+
+
+# ----------------------------------------------------------------------
+# Shared-memory round trip
+# ----------------------------------------------------------------------
 class TestSharedCorridorRoundTrip:
     @pytest.mark.parametrize("vehicle_id", ["spark_ev", "sedan_ev"])
     def test_export_attach_is_lossless_and_solves_identically(self, vehicle_id):
@@ -219,12 +345,18 @@ class TestSharedCorridorRoundTrip:
                 assert view is not built
                 assert view.digest == built.digest
                 assert view.nbytes == built.nbytes
-                for (name, got), (_, want) in zip(_array_fields(view), _array_fields(built)):
+                for (name, got), (_, want) in zip(_held_arrays(view), _held_arrays(built)):
                     assert _same_bytes(got, want), name
                     assert not got.flags.writeable, name
-                # One slot per array: the stacked layout does not grow
-                # with the number of segments.
-                assert len(exported.spec["slots"]) <= 16
+                # One slot per held array (and per efficiency-map array):
+                # the stacked layout does not grow with the number of
+                # segments, and no dense table is exported.
+                slots = set(exported.spec["slots"])
+                assert {name for name, _ in _held_arrays(built)} <= slots
+                assert all(
+                    name.startswith("effmap.")
+                    for name in slots - {name for name, _ in _held_arrays(built)}
+                )
                 window = TimeWindowConstraint(
                     620.0, WindowSet([QueueWindow(60.0, 95.0), QueueWindow(150.0, 190.0)])
                 )

@@ -190,6 +190,36 @@ class TestCorridorIsolation:
         assert stats.capacity == 1
 
 
+class TestAnswersAreReadOnly:
+    def test_answer_arrays_cannot_rewrite_the_corridor_artifacts(self, router):
+        """Regression: an answer's positions and dwells were writable
+        views of the corridor's artifacts, so a caller's write moved the
+        grid under every later solve and every cached plan."""
+        resp = router.request(_req("a", "us25", max_trip_time_s=400.0))
+        artifacts = router.per_corridor_services()["us25"].planner.solver.artifacts
+        grid, dwells = artifacts.positions.copy(), artifacts.dwell_at.copy()
+        for array in (resp.profile.positions_m, resp.profile.dwell_s):
+            with pytest.raises(ValueError):
+                array[5] += 1.0
+        assert np.array_equal(artifacts.positions, grid)
+        assert np.array_equal(artifacts.dwell_at, dwells)
+
+    def test_a_miss_answer_cannot_rewrite_later_hits(self, router):
+        """Regression: the plan cache holds the miss's own profile, so a
+        write to that answer's speeds reached every later hit of its key
+        (and left the profile's timings and wire text stale)."""
+        miss = router.request(_req("a", "us25", max_trip_time_s=400.0))
+        assert miss.cache_hit is False
+        speeds = miss.profile.speeds_ms.copy()
+        with pytest.raises(ValueError):
+            miss.profile.speeds_ms[3] = 0.0
+        hit = router.request(_req("b", "us25", max_trip_time_s=400.0))
+        assert hit.cache_hit is True
+        assert np.array_equal(hit.profile.speeds_ms, speeds)
+        with pytest.raises(ValueError):
+            hit.profile.speeds_ms[3] = 0.0
+
+
 class TestAggregates:
     def test_aggregate_stats_sum_over_corridors(self, router):
         for cid in router.catalog.ids():

@@ -8,6 +8,7 @@ import struct
 import threading
 import weakref
 from concurrent.futures import Future
+from dataclasses import replace
 
 import pytest
 
@@ -491,6 +492,120 @@ class TestGracefulDrain:
             assert server() is None
         finally:
             gc.enable()
+
+
+class CachedStubService(StubPlannerService):
+    """A stub whose every plan request is a warm hit answered on the loop."""
+
+    def request_cached(self, req):
+        return self.request(req)
+
+
+async def _read_frame(reader) -> bytes:
+    (size,) = struct.unpack(">I", await reader.readexactly(4))
+    return await reader.readexactly(size)
+
+
+class TestIdleDeadline:
+    @pytest.mark.parametrize(
+        "sent", [b"", struct.pack(">I", 100) + b"only-part"], ids=["silent", "partial-frame"]
+    )
+    def test_idle_connection_is_closed_and_counted_once(self, sent):
+        """A connection that sends nothing more is reaped once.  A frame
+        it had begun is cut off by the reap: a read timeout, not a
+        malformed frame."""
+
+        async def scenario():
+            server = PlanServer(StubPlannerService(), idle_timeout_s=0.2)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            opened = loop.time()  # before the server's first read can begin
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(sent)
+            assert await asyncio.wait_for(reader.read(1), timeout=10.0) == b""
+            waited = loop.time() - opened
+            # The reaped handler is gone, so nothing can count it again.
+            await asyncio.sleep(0.5)
+            stats = replace(server.stats)
+            writer.close()
+            await server.drain(timeout_s=5.0)
+            return waited, stats
+
+        waited, stats = asyncio.run(scenario())
+        assert waited >= 0.2
+        assert stats.connections == 1
+        assert stats.read_timeouts == 1
+        assert stats.malformed_frames == 0
+        assert stats.protocol_errors == 0
+
+    def test_probing_connection_outlives_several_deadlines(self):
+        """Each frame restarts the deadline: probes every third of it keep
+        one connection alive for several deadlines."""
+        deadline_s = 0.9
+
+        async def scenario():
+            server = PlanServer(StubPlannerService(), idle_timeout_s=deadline_s)
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+            loop = asyncio.get_running_loop()
+            opened = loop.time()
+            probes = 0
+            while loop.time() - opened < 3.5 * deadline_s:
+                await asyncio.sleep(deadline_s / 3)
+                writer.write(encode_frame(wire.encode_health_request()))
+                kind, _ = wire.decode_message(await _read_frame(reader))
+                assert kind == wire.HEALTH_RESPONSE_KIND
+                probes += 1
+            stats = replace(server.stats)
+            writer.close()
+            await server.drain(timeout_s=5.0)
+            return probes, stats
+
+        probes, stats = asyncio.run(scenario())
+        assert probes >= 10
+        assert stats.connections == 1
+        assert stats.health_requests == probes
+        assert stats.read_timeouts == 0
+
+    def test_hits_on_one_connection_create_no_task_per_frame(self):
+        """Regression: each read ran under ``asyncio.wait_for``, which
+        creates a task (with a timer and a future) for every frame."""
+        n_hits = 200
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            server = PlanServer(CachedStubService())
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+
+            async def hit(i):
+                writer.write(encode_frame(wire.encode_request(
+                    PlanRequest(f"ev{i}", depart_s=float(i))
+                )))
+                kind, resp = wire.decode_message(await _read_frame(reader))
+                assert kind == wire.RESPONSE_KIND and resp.vehicle_id == f"ev{i}"
+
+            await hit(n_hits)  # the connection and its handler exist from here on
+            created = []
+
+            def counting_factory(loop, coro, **kwargs):
+                created.append(coro)
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            loop.set_task_factory(counting_factory)
+            try:
+                for i in range(n_hits):
+                    await hit(i)
+            finally:
+                loop.set_task_factory(None)
+            stats = replace(server.stats)
+            writer.close()
+            await server.drain(timeout_s=5.0)
+            return len(created), stats
+
+        tasks, stats = asyncio.run(scenario())
+        assert stats.served == n_hits + 1
+        assert tasks == 0
 
 
 class TestWireIdentity:
