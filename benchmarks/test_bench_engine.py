@@ -1,20 +1,23 @@
 """Engine-layer benches: artifact reuse vs rebuild on the replan path.
 
 The PR 4 split moves the corridor precomputation out of the solver; these
-benches measure exactly the quantity that split buys — the wall time of
-"stand up a planner and answer a replan", which is what a vehicle pays
-when its planning context is constructed per request:
+benches time "stand up a planner and answer a replan", which is what a
+vehicle pays when its planning context is constructed per request:
 
-* cold: no store — every round rebuilds the corridor artifacts,
+* cold: no store — every round builds the corridor artifacts,
 * warm: a shared store — every round after the first is served the
-  prebuilt artifacts and pays only the solve.
+  prebuilt artifacts and pays only the solve, and the store counts the
+  one build.
 
-The gated pair uses a *final-approach* replan (400 m before the corridor
-end, past the last signal): the remaining-corridor solve is small, so
-the cold path's full-corridor artifact rebuild dominates and the store
-win is sharpest.  ``benchmarks/bench_pr4.py`` runs the same workload
-standalone and writes the committed ``BENCH_pr4.json`` numbers,
-including a solve-dominated mid-route replan for comparison.
+The pair uses a *final-approach* replan (400 m before the corridor end,
+past the last signal), where the remaining-corridor solve is small.
+Since the build prices each distinct segment class once, it is a small
+share of the cold round, so the pair shows reuse by the store's
+counters, not by the ratio.  ``benchmarks/bench_pr4.py`` runs the same
+workload standalone, gates the reuse (one build, one hit per warm
+round) and writes the ``BENCH_pr4.json`` report, including a
+solve-dominated mid-route replan for comparison; the warm bench here
+only reports the counters, so that gate is the one reuse check.
 """
 
 import numpy as np
@@ -54,7 +57,7 @@ def test_bench_replan_warm_store(benchmark):
     solution = benchmark.pedantic(lambda: _replan(road, store), rounds=3, iterations=1)
     assert solution.trip_time_s > 0
     stats = store.stats()
-    assert stats.misses == 1  # only the warm-up built
+    benchmark.extra_info["store_misses"] = stats.misses
     benchmark.extra_info["store_hits"] = stats.hits
 
 

@@ -42,7 +42,7 @@ def price_segments(
     a_min: float,
     a_max: float,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Eq. 9 tables of consecutive constant-grade segments, block by block.
+    """Eq. 9 tables of constant-grade segments, block by block.
 
     Args:
         model: Vehicle consumption model.
@@ -54,8 +54,8 @@ def price_segments(
 
     Yields:
         ``(energy_j, travel_s, feasible)`` of each block of consecutive
-        segments, in route order; each has shape ``(block, v, v')``, and
-        the blocks together cover every segment.  ``energy_j[i, j, j2]``
+        segments, in the order given; each has shape ``(block, v, v')``,
+        and the blocks together cover every segment.  ``energy_j[i, j, j2]``
         is the electrical energy (J, negative under net regen) to go from
         ``v_grid[j]`` to ``v_grid[j2]`` over the block's segment ``i`` at
         constant acceleration, and ``travel_s`` its traversal time;
@@ -64,9 +64,13 @@ def price_segments(
 
     A block holds at most ``_BLOCK_ENTRIES`` entries (at least one
     segment): the velocity arithmetic broadcasts over a block, and every
-    entry is bit-identical to pricing its segment alone.  A caller that
-    keeps only what it extracts from each block never holds a
-    ``(segments, v, v')`` table.
+    entry is bit-identical to pricing its segment alone, whatever else
+    the block holds.  A caller that keeps only what it extracts from
+    each block never holds a ``(segments, v, v')`` table.  The segments
+    need not be a corridor's: :meth:`CorridorArtifacts.build
+    <repro.core.engine.artifacts.CorridorArtifacts.build>` passes each
+    distinct ``(length, grade)`` shape once, in order of first
+    appearance.
 
     Raises:
         ValueError: Some segment length is not positive.

@@ -9,10 +9,10 @@ loop and fleet sweeps — shares one build instead of each repeating it.
 Public surface:
 
 * :class:`~repro.core.engine.artifacts.CorridorArtifacts` — the
-  immutable precomputed bundle (velocity grid, Eq. 9 energy tables,
-  feasibility masks, dwells, min-time-to-go, feasible transition pairs),
-  built once per distinct ``(road, vehicle, grid)`` input set, with
-  every per-segment array stacked over the corridor.
+  immutable precomputed bundle (velocity grid, feasibility masks,
+  dwells, min-time-to-go, feasible transition pairs with their Eq. 9
+  energies and times), built once per distinct ``(road, vehicle, grid)``
+  input set, with every per-segment array stacked over the corridor.
 * :class:`~repro.core.engine.artifacts.TransitionPairs` — the feasible
   transitions of every segment with their CSR row offsets, the form the
   stage kernels consume.

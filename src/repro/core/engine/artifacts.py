@@ -28,13 +28,14 @@ share one build.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cost import price_segments
+from repro.core.cost import _BLOCK_ENTRIES, price_segments
 from repro.errors import ConfigurationError
 from repro.route.road import RoadSegment
 from repro.vehicle.dynamics import LongitudinalModel
@@ -51,7 +52,7 @@ _DIGEST_VERSION = "corridor-artifacts-v2"
 #: The array fields of :class:`CorridorArtifacts` (besides its ``pairs``)
 #: and of :class:`TransitionPairs`.
 _ARRAY_FIELDS = ("positions", "v_grid", "allowed", "dwell_at", "min_time_to_go")
-_PAIR_FIELDS = ("offsets", "j", "j2", "energy_j", "dt_s")
+_PAIR_FIELDS = ("offsets", "j2", "energy_j", "dt_s")
 
 
 def _canonical_parts(
@@ -162,15 +163,16 @@ class TransitionPairs:
     Transitions are in segment-major, then row-major ``(j, j2)`` order —
     the order of one :func:`numpy.nonzero` over a stacked
     ``(segments, v, v')`` mask — so each segment's transitions are one
-    contiguous slice, sorted by source velocity.  The arrays are
-    read-only.
+    contiguous slice, sorted by source velocity.  The source index ``j``
+    is not held: transition ``k`` leaves velocity ``j`` of segment ``i``
+    for the row ``offsets[i, j] <= k < offsets[i, j + 1]``.  The arrays
+    are read-only.
 
     Attributes:
         offsets: ``(segments, levels + 1)`` CSR row offsets into the
             stacked arrays: segment ``i``'s transitions from velocity
             index ``j`` are ``offsets[i, j]:offsets[i, j + 1]``, and the
             segment spans ``offsets[i, 0]:offsets[i, -1]``.
-        j: Source velocity index of each transition.
         j2: Successor velocity index of each transition.
         energy_j: Energy of each transition (J).
         dt_s: Traversal time of each transition, including the dwell
@@ -178,7 +180,6 @@ class TransitionPairs:
     """
 
     offsets: np.ndarray
-    j: np.ndarray
     j2: np.ndarray
     energy_j: np.ndarray
     dt_s: np.ndarray
@@ -258,10 +259,24 @@ class CorridorArtifacts:
         This is the offline (amortizable) half of every DP solve; the
         construction replicates the pre-split solver's operations
         exactly, so a solver running on built artifacts produces
-        bit-identical solutions to one building its own.  The segments
-        are priced in blocks (:func:`~repro.core.cost.price_segments`),
-        and each block is reduced to its transitions and its segments'
-        fastest traversals before the next is priced.
+        bit-identical solutions to one building its own.
+
+        The work is done once per distinct segment class, not once per
+        segment.  Eq. 9 prices a transition from the segment's length
+        and grade alone, so each distinct ``(length, grade)`` shape is
+        priced once, in blocks (:func:`~repro.core.cost.price_segments`).
+        A segment's transitions further depend only on the masks at its
+        two ends and the dwell charged on departure, so each class of
+        equal shape, masks and dwell is reduced to its transitions once,
+        while its shape's block is alive.  The classes' transitions are
+        then laid out in route order, byte for byte as a per-segment
+        build lays them out.  The built-in corridors repeat a handful of
+        shapes hundreds of times.  A corridor without repeats does a
+        per-segment build's work plus the keying and that copy, and is
+        consistently slower to build than per segment when the two are
+        timed side by side in one process (US-25 graded throughout: 7–13%
+        at both grids); across separate processes the difference is
+        lost in the spread.
         ``environment=None`` builds under (and digests as)
         :data:`~repro.vehicle.environment.NOMINAL_ENVIRONMENT`.
         """
@@ -286,15 +301,16 @@ class CorridorArtifacts:
             road, vehicle, positions, v_grid, s_step_m, enforce_min_speed
         )
         dwell_at = _build_dwells(road, positions, stop_dwell_s)
-        blocks = price_segments(
+        pairs, fastest = _price_pairs(
             model,
             v_grid,
             np.diff(positions),
             road.grade_at(0.5 * (positions[:-1] + positions[1:])),
+            allowed,
+            dwell_at,
             vehicle.min_accel_ms2,
             vehicle.max_accel_ms2,
         )
-        pairs, fastest = _price_pairs(blocks, allowed, dwell_at)
         min_time_to_go = _build_min_time_to_go(fastest, dwell_at)
         return cls(
             digest=corridor_digest(
@@ -330,12 +346,14 @@ class CorridorArtifacts:
     def nbytes(self) -> int:
         """Bytes of every array held, the transitions included.
 
-        Store sizing guidance: one US-25 build holds 0.31 MB at the
-        serving benchmark's grid (1 m/s, 25 m) and 1.39 MB at the
-        paper's default grid (0.5 m/s, 10 m); the dense
-        ``(segments, v, v')`` tables its pairs are priced from, which
-        are not kept, would add 1.26 and 11.42 MB.  Size the store
-        capacity so ``capacity * nbytes`` fits comfortably in memory.
+        Store sizing guidance: one US-25 build holds 0.24 MB at the
+        serving benchmark's grid (1 m/s, 25 m) and 1.08 MB at the
+        paper's default grid (0.5 m/s, 10 m), 24 B per transition
+        (its ``j2``, energy and time) plus the offsets and per-point
+        arrays; the dense ``(segments, v, v')`` tables its pairs are
+        priced from, which are not kept, would add 1.26 and 11.42 MB.
+        Size the store capacity so ``capacity * nbytes`` fits
+        comfortably in memory.
         """
         return self.pairs.nbytes + sum(getattr(self, name).nbytes for name in _ARRAY_FIELDS)
 
@@ -366,9 +384,10 @@ class CorridorArtifacts:
                 "refused by the corridor's own masks; a band can only restrict them"
             )
         base = self.pairs
-        sizes = base.offsets[:, -1] - base.offsets[:, 0]
-        seg = np.repeat(np.arange(sizes.size), sizes)
-        keep = allowed[seg, base.j]
+        # Each transition's segment and source index, from its offsets row.
+        counts = np.diff(base.offsets, axis=1)
+        seg, j = np.divmod(np.repeat(np.arange(counts.size), counts.ravel()), counts.shape[1])
+        keep = allowed[seg, j]
         keep &= allowed[seg + 1, base.j2]
         # The kept transitions keep their order; a row's new offset is the
         # number kept before its old one.
@@ -376,7 +395,6 @@ class CorridorArtifacts:
         np.cumsum(keep, out=kept_before[1:])
         return TransitionPairs(
             kept_before[base.offsets],
-            base.j[keep],
             base.j2[keep],
             base.energy_j[keep],
             base.dt_s[keep],
@@ -417,11 +435,9 @@ def _build_allowed_masks(
     """Per-point boolean masks of admissible velocity indices (Eq. 7a/7c)."""
     stops = np.asarray(road.mandatory_stop_positions())
     to_stop = np.min(np.abs(stops[None, :] - positions[:, None]), axis=1)
-    zones = [road.zone_at(float(s)) for s in positions]
-    v_max = np.asarray([zone.v_max_ms for zone in zones], dtype=float)
-    allowed = (v_grid > 0.0) & (v_grid <= v_max[:, None] + 1e-9)
+    allowed = (v_grid > 0.0) & (v_grid <= road.v_max_at(positions)[:, None] + 1e-9)
     if enforce_min_speed:
-        v_min = np.asarray([zone.v_min_ms for zone in zones], dtype=float)
+        v_min = road.v_min_at(positions)
         ramp = np.maximum(
             v_min * v_min / (2.0 * abs(vehicle.min_accel_ms2)),
             v_min * v_min / (2.0 * vehicle.max_accel_ms2),
@@ -452,52 +468,146 @@ def _build_dwells(
 
 
 def _price_pairs(
-    blocks: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    model: LongitudinalModel,
+    v_grid: np.ndarray,
+    distances_m: np.ndarray,
+    grades_rad: np.ndarray,
     allowed: np.ndarray,
     dwell_at: np.ndarray,
+    a_min: float,
+    a_max: float,
 ) -> Tuple[TransitionPairs, np.ndarray]:
     """The transitions feasible under Eq. 7b whose endpoints ``allowed`` admits.
 
-    Each block is reduced to its transitions as it arrives, so no
-    ``(segments, v, v')`` table outlives its block.
+    Each distinct shape is priced once and each class reduced once
+    (:func:`_segment_classes`), in shape order, so a block of priced
+    shapes is reduced before the next is priced.  Classes are reduced
+    in blocks of at most ``_BLOCK_ENTRIES`` entries, so no
+    ``(segments, v, v')`` table outlives its block.  The reduced
+    classes are then copied into route order with one gather.
 
     Args:
-        blocks: The ``(energy_j, travel_s, feasible)`` blocks of
-            consecutive segments that
-            :func:`~repro.core.cost.price_segments` yields.
+        model: Vehicle consumption model.
+        v_grid: Velocity grid values (m/s).
+        distances_m: Length of each segment (m).
+        grades_rad: Grade of each segment (at its midpoint).
         allowed: ``(points, v)`` admissible-velocity masks.
         dwell_at: Dwell charged when departing each point (s).
+        a_min: Minimum allowed acceleration (m/s^2, negative).
+        a_max: Maximum allowed acceleration (m/s^2, positive).
 
     Returns:
         The transitions, and each segment's fastest feasible
         traversal time (s; ``+inf`` for a segment with none),
         whatever ``allowed`` admits.
     """
-    n_v = allowed.shape[1]
+    n_seg, n_v = distances_m.size, v_grid.size
+    entries = n_v * n_v
+    shape_of, shape_first, class_of, class_first = _segment_classes(
+        distances_m, grades_rad, allowed, dwell_at
+    )
+    # The reduction order: classes by shape, then by first appearance.
+    by_shape = np.argsort(shape_of[class_first], kind="stable")
+    first_seg = class_first[by_shape]
+    shape = shape_of[first_seg]
+    shape_list = shape.tolist()
+    entry_rows = allowed[first_seg, :, None]
+    exit_rows = allowed[first_seg + 1, None, :]
+    per_block = max(1, _BLOCK_ENTRIES // entries)
     flat_parts, energy_parts, dt_parts, fastest = [], [], [], []
-    lo = 0
-    for energy_j, travel_s, feasible in blocks:
+    lo = done = 0
+    for energy_j, travel_s, feasible in price_segments(
+        model, v_grid, distances_m[shape_first], grades_rad[shape_first], a_min, a_max
+    ):
         hi = lo + feasible.shape[0]
-        mask = feasible & allowed[lo:hi, :, None]
-        mask &= allowed[lo + 1:hi + 1, None, :]
-        # Flat indices into the block, in np.nonzero order.
-        flat = np.flatnonzero(mask)
-        energy_parts.append(energy_j.ravel()[flat])
-        dt_parts.append(travel_s.ravel()[flat])
-        flat_parts.append(flat + lo * n_v * n_v)
         fastest.append(travel_s.min(axis=(1, 2)))
+        end = bisect.bisect_left(shape_list, hi, done)
+        for start in range(done, end, per_block):
+            stop = min(start + per_block, end)
+            # Each class's shape, as an index into the priced block.
+            local = shape[start:stop] - lo
+            mask = feasible[local] & entry_rows[start:stop]
+            mask &= exit_rows[start:stop]
+            # Flat indices into the classes, in np.nonzero order, and
+            # the same entries as flat indices into the priced block.
+            flat = np.flatnonzero(mask)
+            priced = flat + ((local - np.arange(stop - start)) * entries)[flat // entries]
+            energy_parts.append(energy_j.ravel()[priced])
+            dt_parts.append(travel_s.ravel()[priced])
+            flat_parts.append(flat + start * entries)
+        done = end
         lo = hi
     row, j2 = np.divmod(np.concatenate(flat_parts), n_v)
-    seg, j = np.divmod(row, n_v)
+    energy = np.concatenate(energy_parts)
     dt_s = np.concatenate(dt_parts)
-    dt_s += dwell_at[seg]
-    ends = np.cumsum(np.bincount(row, minlength=lo * n_v))
-    offsets = np.empty((lo, n_v + 1), dtype=np.int64)
-    offsets[:, 1:] = ends.reshape(lo, n_v)
+    dt_s += dwell_at[first_seg][row // n_v]
+    rows = np.bincount(row, minlength=first_seg.size * n_v).reshape(-1, n_v)
+    # Each segment's class, as a position in the reduction order.
+    position = np.empty_like(by_shape)
+    position[by_shape] = np.arange(by_shape.size)
+    seg_class = position[class_of]
+    offsets = np.empty((n_seg, n_v + 1), dtype=np.int64)
+    offsets[:, 1:] = np.cumsum(rows[seg_class]).reshape(n_seg, n_v)
     offsets[0, 0] = 0
     offsets[1:, 0] = offsets[:-1, -1]
-    pairs = TransitionPairs(offsets, j, j2, np.concatenate(energy_parts), dt_s)
-    return pairs, np.concatenate(fastest)
+    # Copy each segment's class's transitions into route order.
+    class_start = np.zeros(first_seg.size, dtype=np.int64)
+    np.cumsum(rows.sum(axis=1)[:-1], out=class_start[1:])
+    take = np.repeat(class_start[seg_class] - offsets[:, 0], offsets[:, -1] - offsets[:, 0])
+    take += np.arange(take.size)
+    pairs = TransitionPairs(offsets, j2[take], energy[take], dt_s[take])
+    return pairs, np.concatenate(fastest)[shape_of]
+
+
+def _segment_classes(
+    distances_m: np.ndarray,
+    grades_rad: np.ndarray,
+    allowed: np.ndarray,
+    dwell_at: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each segment's shape and class, both numbered by first appearance.
+
+    A segment's shape is the bytes of its ``(length, grade)``, so a
+    ``-0.0`` grade is not a ``0.0`` one: Eq. 9 prices a transition from
+    the shape alone.  Its class is the bytes of its shape, entry mask
+    row, exit mask row and departure dwell: its transitions follow from
+    the class alone.
+
+    Returns:
+        ``(shape_of, shape_first, class_of, class_first)``: segment
+        ``i`` has shape ``shape_of[i]`` and class ``class_of[i]``, and
+        ``shape_first[k]`` (``class_first[k]``) is the first segment of
+        shape (class) ``k``.
+    """
+    n_seg = distances_m.size
+    shape_of, shape_first = _first_appearance(np.column_stack([distances_m, grades_rad]))
+    class_of, class_first = _first_appearance(
+        np.concatenate(
+            [
+                shape_of.view(np.uint8).reshape(n_seg, -1),
+                allowed[:-1].view(np.uint8),
+                allowed[1:].view(np.uint8),
+                dwell_at[:-1].view(np.uint8).reshape(n_seg, -1),
+            ],
+            axis=1,
+        )
+    )
+    return shape_of, shape_first, class_of, class_first
+
+
+def _first_appearance(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Ids of a 2-D array's rows, equal bytes sharing one, by first appearance.
+
+    Returns ``(ids, first)``: row ``i`` has id ``ids[i]``, and ``first[k]``
+    is the first row with id ``k``.  Both are 1-D.
+    """
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.ravel()], first[order]
 
 
 def _build_min_time_to_go(fastest: np.ndarray, dwell_at: np.ndarray) -> np.ndarray:

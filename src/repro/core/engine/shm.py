@@ -1,7 +1,7 @@
 """Shared-memory corridor artifacts for process-parallel serving.
 
 A :class:`~repro.core.engine.artifacts.CorridorArtifacts` build is a few
-read-only numpy arrays: 1.39 MB for US-25 at the paper's grid, most of
+read-only numpy arrays: 1.08 MB for US-25 at the paper's grid, most of
 it the transition pairs (12.81 MB while builds still held the dense
 ``(segments, v, v')`` tables the pairs are priced from).  The
 process-parallel dispatch backend (:mod:`repro.cloud.procpool`) wants

@@ -73,7 +73,7 @@ class ArtifactStore:
     Args:
         capacity: Maximum number of artifact sets held at once.  Sizing
             guidance: each entry costs :attr:`CorridorArtifacts.nbytes`
-            (1.39 MB for US-25 at the paper's grid, 0.31 MB at the serving
+            (1.08 MB for US-25 at the paper's grid, 0.24 MB at the serving
             benchmark's; 12.81 and 1.57 MB while builds held their dense
             per-segment tables); a production service fronting a handful
             of corridors x grid resolutions rarely needs more than 8-16.

@@ -189,13 +189,35 @@ class RoadSegment:
         index = bisect.bisect_right(self._zone_starts, position_m) - 1
         return self.zones[max(index, 0)]
 
-    def v_max_at(self, position_m: float) -> float:
-        """Maximum speed limit (m/s) at a position (Eq. 7a upper bound)."""
+    def v_max_at(self, position_m: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        """Maximum speed limit (m/s) at a position (Eq. 7a upper bound).
+
+        An array of positions gives the array of their limits.
+        """
+        if isinstance(position_m, np.ndarray):
+            return self._zone_limits(position_m, "v_max_ms")
         return self.zone_at(position_m).v_max_ms
 
-    def v_min_at(self, position_m: float) -> float:
-        """Minimum expected speed (m/s) at a position (Eq. 7a lower bound)."""
+    def v_min_at(self, position_m: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+        """Minimum expected speed (m/s) at a position (Eq. 7a lower bound).
+
+        An array of positions gives the array of their limits.
+        """
+        if isinstance(position_m, np.ndarray):
+            return self._zone_limits(position_m, "v_min_ms")
         return self.zone_at(position_m).v_min_ms
+
+    def _zone_limits(self, positions_m: np.ndarray, name: str) -> np.ndarray:
+        """One zone limit at each of an array of positions, as :meth:`zone_at` finds it."""
+        positions = np.asarray(positions_m, dtype=float)
+        outside = ~((positions >= 0) & (positions <= self.length_m))
+        if outside.any():
+            raise ValueError(
+                f"position {positions[outside][0]} m is outside [0, {self.length_m}]"
+            )
+        index = np.searchsorted(self._zone_starts, positions, side="right") - 1
+        limits = np.asarray([getattr(zone, name) for zone in self.zones], dtype=float)
+        return limits[np.maximum(index, 0)]
 
     def grade_at(self, position_m: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Road grade (radians) at a position, or at each of an array of them."""

@@ -1,15 +1,21 @@
-"""Corridor-artifact layout: the pair-only build against a per-segment oracle.
+"""Corridor-artifact layout: the class-built build against a per-segment oracle.
 
-:meth:`CorridorArtifacts.build` prices the segments in blocks and keeps
-only what it extracts from each block: the transitions, their CSR
-offsets and each segment's fastest traversal.  The admissible-velocity
-masks are built without a per-point loop.  The oracle below is the
-per-segment build it replaced — a :class:`SegmentEnergyTable` per
-segment, per-segment pair extraction, the per-point mask loop and the
-backwards min-time sum — and every array must come out byte-equal.  The
-oracle's tables must equal the priced blocks, and a band's pairs
+:meth:`CorridorArtifacts.build` prices each distinct ``(length, grade)``
+segment shape once, reduces each class of equal shape, end masks and
+departure dwell to its transitions once, and lays them out in route
+order; it keeps only the transitions, their CSR offsets and each
+segment's fastest traversal.  The admissible-velocity masks come from
+array lookups of the zone limits (``RoadSegment.v_max_at``/``v_min_at``
+over the grid).  The oracle below is the per-segment build it replaced
+— a :class:`SegmentEnergyTable` per segment, per-segment pair
+extraction, the per-point mask loop and the backwards min-time sum —
+and every array must come out byte-equal, on fixed corridors and on
+hypothesis roads mixing repeated flat segments, graded stretches, zone
+changes, stop signs and a ``-0.0`` grade beside ``0.0``.  The oracle's
+tables must equal the priced blocks, and a band's pairs
 (:meth:`CorridorArtifacts.pairs_for`) must equal extraction from the
-oracle's dense tables under the band.
+oracle's dense tables under the band.  The built-in catalog's held
+arrays are pinned by sha256 at both grids.
 
 The shared-memory export must carry all of it, CSR offsets included, to
 an attached bundle that solves bit-identically.
@@ -18,16 +24,20 @@ an attached bundle that solves bit-identically.
 from __future__ import annotations
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cloud.registry import builtin_catalog
 from repro.core.cost import SegmentEnergyTable, WindowSet, price_segments
 from repro.core.dp import DpSolver, TimeWindowConstraint
 from repro.core.engine import CorridorArtifacts
+from repro.core.engine import artifacts as artifacts_module
 from repro.core.engine.shm import SharedCorridor
+from repro.core.planner import PlannerConfig
 from repro.errors import ConfigurationError
 from repro.route.road import GradeProfile, RoadSegment, SignalSite, SpeedLimitZone, StopSign
 from repro.route.us25 import us25_greenville_segment
@@ -41,6 +51,7 @@ from repro.vehicle.scenarios import get_scenario, scenario_ids
 #: The serving benchmark's grid and the paper's default grid.
 BENCHMARK_GRID = dict(v_step_ms=1.0, s_step_m=25.0)
 PAPER_GRID = dict(v_step_ms=0.5, s_step_m=10.0)
+GRIDS = {"benchmark": BENCHMARK_GRID, "paper": PAPER_GRID}
 
 
 # ----------------------------------------------------------------------
@@ -109,10 +120,17 @@ def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _segment_slices(pairs, i):
+def _source_index(pairs):
+    """Each transition's source velocity index, read off the CSR offsets rows."""
+    counts = np.diff(pairs.offsets, axis=1)
+    levels = np.tile(np.arange(counts.shape[1]), counts.shape[0])
+    return np.repeat(levels, counts.ravel())
+
+
+def _segment_slices(pairs, source, i):
     """Segment ``i``'s ``(j, j2, energy_j, dt_s)``: one slice of the stacked arrays."""
     lo, hi = pairs.offsets[i, 0], pairs.offsets[i, -1]
-    return pairs.j[lo:hi], pairs.j2[lo:hi], pairs.energy_j[lo:hi], pairs.dt_s[lo:hi]
+    return source[lo:hi], pairs.j2[lo:hi], pairs.energy_j[lo:hi], pairs.dt_s[lo:hi]
 
 
 def _priced_blocks(artifacts):
@@ -146,12 +164,13 @@ def _oracle_band_pairs(tables, band, dwell_at):
 
 
 def _assert_pairs_match(got, want_pairs, want_offsets):
+    source = _source_index(got)
     for i, want in enumerate(want_pairs):
-        for got_array, want_array in zip(_segment_slices(got, i), want):
+        for got_array, want_array in zip(_segment_slices(got, source, i), want):
             assert _same_bytes(got_array, want_array)
     assert _same_bytes(got.offsets, want_offsets)
     # The segments tile the stacked arrays: nothing but their slices is held.
-    assert got.j.size == got.offsets[-1, -1]
+    assert got.j2.size == got.offsets[-1, -1]
 
 
 def _assert_matches_oracle(artifacts):
@@ -236,10 +255,148 @@ class TestStackedBuildMatchesPerSegmentOracle:
                            artifacts.pairs.offsets)
         band = artifacts.restrict_allowed(lambda s: (0.0, 9.0))
         restricted = artifacts.pairs_for(band)
+        source = _source_index(restricted)
         for i in range(artifacts.n_segments):
-            j_arr, j2_arr, _, _ = _segment_slices(restricted, i)
+            j_arr, j2_arr, _, _ = _segment_slices(restricted, source, i)
             assert np.all(band[i][j_arr]) and np.all(band[i + 1][j2_arr])
-        assert restricted.j.size < artifacts.pairs.j.size
+        assert restricted.j2.size < artifacts.pairs.j2.size
+
+    @pytest.mark.parametrize("grid", [BENCHMARK_GRID, PAPER_GRID], ids=["benchmark", "paper"])
+    def test_graded_us25_without_repeats(self, vehicle, grid):
+        road = us25_greenville_segment(
+            grade=GradeProfile([0.0, 1500.0, 2600.0, 4200.0], [0.0, 0.03, -0.02, 0.01])
+        )
+        artifacts = CorridorArtifacts.build(road, vehicle, **grid)
+        shapes = np.column_stack([np.diff(artifacts.positions), _midpoint_grades(artifacts)])
+        # Graded throughout: a shape repeats only where two slopes pass
+        # one grade value at matching midpoints (2 of 420 at the paper grid).
+        assert np.unique(shapes, axis=0).shape[0] >= 0.99 * artifacts.n_segments
+        _assert_matches_oracle(artifacts)
+
+
+# ----------------------------------------------------------------------
+# Class-built: random roads against the per-segment oracle
+# ----------------------------------------------------------------------
+def _midpoint_grades(artifacts):
+    positions = artifacts.positions
+    return artifacts.road.grade_at(0.5 * (positions[:-1] + positions[1:]))
+
+
+@st.composite
+def _roads(draw):
+    """A road of flat repeats, graded stretches, zones, stops and signals.
+
+    The grade is ``0.0`` before the first breakpoint and ``-0.0`` after
+    the last (:func:`numpy.interp` holds the end values), so flat
+    segments of both signed zeros repeat on every road; with no sloped
+    piece between the two breakpoints they sit side by side.
+    """
+    length = draw(st.integers(6_000, 16_000)) / 10.0
+    inside = st.integers(1_000, int(length * 10) - 1_000).map(lambda x: x / 10.0)
+    cuts = draw(st.lists(inside, max_size=2, unique=True))
+    bounds = [0.0, *sorted(cuts), length]
+    zones = []
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        v_max = kmh_to_ms(draw(st.sampled_from([40.0, 50.0, 60.0, 70.0])))
+        v_min = kmh_to_ms(draw(st.sampled_from([0.0, 15.0, 25.0])))
+        zones.append(SpeedLimitZone(start, end, v_max_ms=v_max, v_min_ms=v_min))
+    head = length * draw(st.integers(15, 35)) / 100.0
+    tail = length * draw(st.integers(60, 85)) / 100.0
+    slopes = sorted(draw(st.lists(st.integers(1, 99), max_size=3, unique=True)))
+    grade = GradeProfile(
+        [head, *(head + (tail - head) * k / 100.0 for k in slopes), tail],
+        [0.0, *(draw(st.integers(-50, 50)) / 1000.0 for _ in slopes), -0.0],
+    )
+    light = TrafficLight(red_s=25.0, green_s=30.0)
+    return RoadSegment(
+        name="random test road",
+        length_m=length,
+        zones=zones,
+        stop_signs=[StopSign(s) for s in draw(st.lists(inside, max_size=2, unique=True))],
+        signals=[SignalSite(s, light) for s in draw(st.lists(inside, max_size=2, unique=True))],
+        grade=grade,
+    )
+
+
+class TestClassBuiltMatchesPerSegmentOracle:
+    @pytest.mark.parametrize("grid_name", ["benchmark", "paper"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        road=_roads(),
+        vehicle_id=st.sampled_from(vehicle_ids()),
+        scenario_id=st.sampled_from(scenario_ids()),
+        stop_dwell_s=st.sampled_from([0.0, 2.0, 3.5]),
+        enforce_min_speed=st.booleans(),
+    )
+    def test_random_roads(
+        self, grid_name, road, vehicle_id, scenario_id, stop_dwell_s, enforce_min_speed
+    ):
+        artifacts = CorridorArtifacts.build(
+            road,
+            get_vehicle(vehicle_id),
+            environment=get_scenario(scenario_id).environment,
+            stop_dwell_s=stop_dwell_s,
+            enforce_min_speed=enforce_min_speed,
+            **GRIDS[grid_name],
+        )
+        grades = _midpoint_grades(artifacts)
+        signs = np.signbit(grades[grades == 0.0])
+        assert signs.any() and not signs.all()
+        _assert_matches_oracle(artifacts)
+
+
+# ----------------------------------------------------------------------
+# The built-in catalog: shapes priced once, bytes pinned
+# ----------------------------------------------------------------------
+#: sha256 over the built-in catalog's held arrays, the source index
+#: derived from the offsets included (:func:`_catalog_sha256`), as the
+#: per-segment build produced them.
+CATALOG_SHA256 = {
+    "benchmark": "bc93571badfc5a7d54db3e923fe927af22aadf975a9a335fd9e58fd6e6f36dfa",
+    "paper": "072bac14fa24138489152198ebcd2b8ed0d600a98510de0776ac9ae2baa45031",
+}
+
+
+def _catalog_artifacts(grid_name):
+    """Each built-in corridor's artifacts, as its serving runtime builds them."""
+    catalog = builtin_catalog(config=PlannerConfig(t_bin_s=2.0, **GRIDS[grid_name]))
+    return {cid: catalog.runtime(cid).planner.solver.artifacts for cid in catalog.ids()}
+
+
+def _catalog_sha256(grid_name):
+    digest = hashlib.sha256()
+    for cid, artifacts in _catalog_artifacts(grid_name).items():
+        pairs = artifacts.pairs
+        arrays = [(name, getattr(artifacts, name)) for name in
+                  ("positions", "v_grid", "allowed", "dwell_at", "min_time_to_go")]
+        arrays += [("pairs.offsets", pairs.offsets), ("pairs.j", _source_index(pairs))]
+        arrays += [(f"pairs.{name}", getattr(pairs, name)) for name in ("j2", "energy_j", "dt_s")]
+        for name, array in arrays:
+            digest.update(f"{cid}:{name}:{array.dtype.str}:{array.shape}".encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+class TestBuiltinCatalog:
+    @pytest.mark.parametrize(
+        "grid_name, segments, shapes", [("benchmark", 496, 9), ("paper", 1240, 3)]
+    )
+    def test_each_distinct_shape_is_priced_once(self, monkeypatch, grid_name, segments, shapes):
+        priced = []
+
+        def counting(model, v_grid, distances_m, *args):
+            priced.append(len(distances_m))
+            return price_segments(model, v_grid, distances_m, *args)
+
+        monkeypatch.setattr(artifacts_module, "price_segments", counting)
+        built = _catalog_artifacts(grid_name)
+        assert sum(artifacts.n_segments for artifacts in built.values()) == segments
+        assert len(priced) == len(built)
+        assert sum(priced) == shapes
+
+    @pytest.mark.parametrize("grid_name", ["benchmark", "paper"])
+    def test_held_arrays_are_the_per_segment_builds_bytes(self, grid_name):
+        assert _catalog_sha256(grid_name) == CATALOG_SHA256[grid_name]
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +454,7 @@ class TestBandPairsFilterTheBasePairs:
 def _held_arrays(artifacts):
     for name in ("positions", "v_grid", "allowed", "dwell_at", "min_time_to_go"):
         yield name, getattr(artifacts, name)
-    for name in ("offsets", "j", "j2", "energy_j", "dt_s"):
+    for name in ("offsets", "j2", "energy_j", "dt_s"):
         yield f"pairs.{name}", getattr(artifacts.pairs, name)
 
 
@@ -325,7 +482,7 @@ class TestHeldFootprint:
             assert not array.flags.writeable, name
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = array[(0,) * array.ndim]
-        for name in ("offsets", "j", "j2", "energy_j", "dt_s"):
+        for name in ("offsets", "j2", "energy_j", "dt_s"):
             assert not getattr(band, name).flags.writeable, name
 
 

@@ -62,6 +62,23 @@ class TestZones:
         with pytest.raises(ValueError):
             road.v_max_at(1001.0)
 
+    def test_limits_at_an_array_of_positions(self):
+        road = make_road()
+        positions = np.array([0.0, 250.0, 399.9, 400.0, np.nextafter(400.0, 0.0), 700.0, 1000.0])
+        for lookup in (road.v_max_at, road.v_min_at):
+            limits = lookup(positions)
+            assert limits.dtype == float and limits.shape == positions.shape
+            assert limits.tolist() == [lookup(float(s)) for s in positions]
+        grid = np.arange(0.0, 1000.0, 10.0).reshape(10, 10)
+        assert road.v_max_at(grid).shape == (10, 10)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1000.1, np.nan])
+    def test_out_of_range_array_query_rejected(self, bad):
+        road = make_road()
+        for lookup in (road.v_max_at, road.v_min_at):
+            with pytest.raises(ValueError, match="outside"):
+                lookup(np.array([0.0, bad, 500.0]))
+
     def test_invalid_zone_limits(self):
         with pytest.raises(ConfigurationError):
             SpeedLimitZone(0.0, 10.0, v_max_ms=0.0)
