@@ -1,13 +1,14 @@
 """Standalone PR 9 bench: writes the committed ``BENCH_pr9.json``.
 
-Two gated claims back the corridor-sharded serving stack:
+Two gated claims back the multi-corridor serving stack:
 
 * ``bit_identity`` — a single-corridor request stream served through
-  :class:`~repro.cloud.router.PlanRouter` (catalog + corridor shard) is
-  bit-identical to the PR 8 direct :class:`CloudPlannerService` path:
+  :class:`~repro.cloud.router.PlanRouter` (catalog + corridor service)
+  is bit-identical to the PR 8 direct :class:`CloudPlannerService` path:
   same plans (energies and profile arrays), same counters, and the
   serving invariant ``requests == cache_hits + cache_misses + errors``
-  holds on the shard exactly as it does on the direct service.
+  holds on the routed corridor's service exactly as it does on the
+  direct service.
 * ``isolation`` — a three-corridor interleaved stream (identical
   departure phases and budgets on every corridor, the worst case for
   key collisions) shows **zero cross-corridor cache hits**: each
@@ -80,24 +81,24 @@ def _bit_identity(rounds: int):
         if _fingerprint(a) != _fingerprint(b) or a.cache_hit != b.cache_hit:
             mismatches += 1
     direct_stats = direct.stats_snapshot()
-    shard_stats = router.per_corridor_services()["us25"].stats_snapshot()
+    routed_stats = router.per_corridor_services()["us25"].stats_snapshot()
     counters_match = all(
-        getattr(direct_stats, name) == getattr(shard_stats, name)
+        getattr(direct_stats, name) == getattr(routed_stats, name)
         for name in ("requests", "cache_hits", "cache_misses", "errors")
     )
     invariant = (
-        shard_stats.requests
-        == shard_stats.cache_hits + shard_stats.cache_misses + shard_stats.errors
+        routed_stats.requests
+        == routed_stats.cache_hits + routed_stats.cache_misses + routed_stats.errors
     )
     return {
         "stream_len": len(stream),
         "mismatches": mismatches,
         "counters_match": counters_match,
-        "shard_invariant": invariant,
-        "requests": shard_stats.requests,
-        "cache_hits": shard_stats.cache_hits,
-        "cache_misses": shard_stats.cache_misses,
-        "errors": shard_stats.errors,
+        "corridor_invariant": invariant,
+        "requests": routed_stats.requests,
+        "cache_hits": routed_stats.cache_hits,
+        "cache_misses": routed_stats.cache_misses,
+        "errors": routed_stats.errors,
     }
 
 
@@ -133,29 +134,29 @@ def _isolation(rounds: int):
     warm_rates_match = True
     for cid in corridor_ids:
         base_stats, base_energy = baseline[cid]
-        shard_stats = router.per_corridor_services()[cid].stats_snapshot()
-        cross_corridor_hits += shard_stats.cache_hits - base_stats.cache_hits
-        guard_rejections += shard_stats.errors
-        if shard_stats.hit_rate != base_stats.hit_rate:
+        routed_stats = router.per_corridor_services()[cid].stats_snapshot()
+        cross_corridor_hits += routed_stats.cache_hits - base_stats.cache_hits
+        guard_rejections += routed_stats.errors
+        if routed_stats.hit_rate != base_stats.hit_rate:
             warm_rates_match = False
         per_corridor[cid] = {
-            "requests": shard_stats.requests,
-            "cache_hits": shard_stats.cache_hits,
-            "cache_misses": shard_stats.cache_misses,
-            "errors": shard_stats.errors,
-            "hit_rate": round(shard_stats.hit_rate, 4),
+            "requests": routed_stats.requests,
+            "cache_hits": routed_stats.cache_hits,
+            "cache_misses": routed_stats.cache_misses,
+            "errors": routed_stats.errors,
+            "hit_rate": round(routed_stats.hit_rate, 4),
             "baseline_hit_rate": round(base_stats.hit_rate, 4),
             "energies_match_baseline": routed_energy[cid] == base_energy,
             "invariant": (
-                shard_stats.requests
-                == shard_stats.cache_hits
-                + shard_stats.cache_misses
-                + shard_stats.errors
+                routed_stats.requests
+                == routed_stats.cache_hits
+                + routed_stats.cache_misses
+                + routed_stats.errors
             ),
         }
 
     # Warm throughput: the whole interleaved stream again, now fully
-    # cached — the steady-state serving cost of the sharded front.
+    # cached — the steady-state serving cost of the routed front.
     t0 = time.perf_counter()
     for req in interleaved:
         router.request(req)
@@ -172,7 +173,6 @@ def _isolation(rounds: int):
         "warm_hit_rates_match_baseline": warm_rates_match,
         "router_routed": stats.routed,
         "router_rejected": stats.rejected,
-        "per_shard_routed": list(stats.per_shard),
         "warm_throughput_rps": round(throughput, 1),
     }
 
@@ -211,9 +211,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{identity['mismatches']} routed responses diverged from the "
         "direct service (need bit-identity)"
     )
-    assert identity["counters_match"], "routed shard counters diverged from direct"
-    assert identity["shard_invariant"], (
-        "shard broke requests == hits + misses + errors"
+    assert identity["counters_match"], "routed corridor counters diverged from direct"
+    assert identity["corridor_invariant"], (
+        "the routed us25 service broke requests == hits + misses + errors"
     )
     assert isolation["cross_corridor_cache_hits"] == 0, (
         f"{isolation['cross_corridor_cache_hits']} cache hits crossed a "

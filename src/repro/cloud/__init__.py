@@ -32,7 +32,7 @@ of the planners:
 * :mod:`repro.cloud.registry` — the corridor registry: immutable
   corridor specs (road, traffic, planner recipe) and a catalog that
   lazily builds one isolated serving runtime per corridor.
-* :mod:`repro.cloud.router` — the request router: corridor-sharded
+* :mod:`repro.cloud.router` — the request router: per-corridor
   serving behind the same service facade, so the whole stack above it
   (dispatcher, server, transport, fleet study) is corridor-aware for
   free.

@@ -41,9 +41,10 @@ counts the answered request as the pool would have — submitted, a
 leader, completed — so the counters read the same whichever path
 served.
 
-Exact counters live in :class:`DispatcherStats` (mutated under a lock)
-and are mirrored into the thread-safe :mod:`repro.obs` registry as
-``cloud.dispatch.*``.
+Each event is counted once, by the dispatcher's
+:class:`~repro.obs.Counters` (mirrored into the registry as
+``cloud.dispatch.*``); :class:`DispatcherStats` is a view of one
+snapshot of them.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ __all__ = ["DispatcherStats", "PlanDispatcher"]
 
 @dataclass(frozen=True)
 class DispatcherStats:
-    """Immutable snapshot of one dispatcher's counters.
+    """Immutable view of one dispatcher's counts.
 
     Attributes:
         submitted: Requests accepted by :meth:`PlanDispatcher.submit`.
@@ -152,12 +153,13 @@ class PlanDispatcher:
         )
         self._flights: Dict[Hashable, _Flight] = {}
         self._lock = threading.Lock()
-        self._submitted = 0
-        self._completed = 0
-        self._errors = 0
-        self._leaders = 0
-        self._coalesced = 0
-        self._deadline_exceeded = 0
+        self._counters = obs.Counters(
+            name,
+            (
+                "submitted", "completed", "errors", "leaders", "coalesced",
+                "deadline_exceeded",
+            ),
+        )
         self._proc = None
         # Worker processes keep their own caches, which the caller's
         # thread cannot read, and a duck-typed service may have no probe.
@@ -188,26 +190,22 @@ class PlanDispatcher:
         """
         if deadline_s is not None and deadline_s <= 0:
             raise ConfigurationError(f"deadline must be positive, got {deadline_s}")
-        registry = obs.get_registry()
         submitted_at = _time.monotonic()
         key = self.service.coalesce_key(req)
         if self._proc is not None:
-            with self._lock:
-                self._submitted += 1
-            registry.inc(f"{self.name}.submitted")
+            self._counters.inc("submitted")
             return self._proc.submit(req, key, deadline_s, submitted_at)
         flight: Optional[_Flight] = None
         predecessor: Optional[_Flight] = None
-        with self._lock:
-            if key is not None:
-                # The chain is extended here, synchronously, so same-key
-                # requests run in submission order — the order a serial
-                # loop would have run them in.
-                flight = _Flight()
+        if key is not None:
+            # The chain is extended here, synchronously, so same-key
+            # requests run in submission order — the order a serial loop
+            # would have run them in.
+            flight = _Flight()
+            with self._lock:
                 predecessor = self._flights.get(key)
                 self._flights[key] = flight
-            self._submitted += 1
-        registry.inc(f"{self.name}.submitted")
+        self._counters.inc("submitted")
         return self._pool.submit(
             self._run, req, key, flight, predecessor, deadline_s, submitted_at
         )
@@ -248,13 +246,7 @@ class PlanDispatcher:
             response = self._answer_cached(req)
             if response is None:
                 return None
-            self._submitted += 1
-            self._leaders += 1
-            self._completed += 1
-        registry = obs.get_registry()
-        registry.inc(f"{self.name}.submitted")
-        registry.inc(f"{self.name}.leaders")
-        registry.inc(f"{self.name}.completed")
+            self._counters.inc("submitted", "leaders", "completed")
         return response
 
     def submit_many(
@@ -304,24 +296,14 @@ class PlanDispatcher:
         The backend calls this ahead of resolving the future, so a
         caller woken by the result never reads counters that lag it.
         """
-        registry = obs.get_registry()
-        if isinstance(outcome, Exception):
-            with self._lock:
-                self._errors += 1
-                if isinstance(outcome, DispatchDeadlineError):
-                    self._deadline_exceeded += 1
-            registry.inc(f"{self.name}.errors")
-            if isinstance(outcome, DispatchDeadlineError):
-                registry.inc(f"{self.name}.deadline_exceeded")
-            return
-        response = outcome
-        with self._lock:
-            self._completed += 1
-            if response.cache_hit:
-                self._coalesced += 1
-        registry.inc(f"{self.name}.completed")
-        if response.cache_hit:
-            registry.inc(f"{self.name}.coalesced")
+        if isinstance(outcome, DispatchDeadlineError):
+            self._counters.inc("errors", "deadline_exceeded")
+        elif isinstance(outcome, Exception):
+            self._counters.inc("errors")
+        elif outcome.cache_hit:
+            self._counters.inc("completed", "coalesced")
+        else:
+            self._counters.inc("completed")
 
     # ------------------------------------------------------------------
     # Worker body
@@ -338,12 +320,7 @@ class PlanDispatcher:
             return float("inf")
         remaining = deadline_s - (_time.monotonic() - submitted_at)
         if remaining <= 0:
-            with self._lock:
-                self._deadline_exceeded += 1
-                self._errors += 1
-            registry = obs.get_registry()
-            registry.inc(f"{self.name}.deadline_exceeded")
-            registry.inc(f"{self.name}.errors")
+            self._counters.inc("deadline_exceeded", "errors")
             raise DispatchDeadlineError(
                 f"request for {req.vehicle_id!r} missed its {deadline_s:.2f} s "
                 f"deadline {while_doing}",
@@ -361,7 +338,6 @@ class PlanDispatcher:
         deadline_s: Optional[float],
         submitted_at: float,
     ) -> PlanResponse:
-        registry = obs.get_registry()
         # The whole worker body runs under the chain-release finally: a
         # request that dies *anywhere* — including on a deadline that
         # expired while it was still queued — must release its successor,
@@ -377,15 +353,11 @@ class PlanDispatcher:
                         req, deadline_s, submitted_at, "waiting on a coalesced solve"
                     )
             elif key is not None:
-                with self._lock:
-                    self._leaders += 1
-                registry.inc(f"{self.name}.leaders")
+                self._counters.inc("leaders")
             try:
                 response = self.service.request(req)
             except Exception:
-                with self._lock:
-                    self._errors += 1
-                registry.inc(f"{self.name}.errors")
+                self._counters.inc("errors")
                 raise
             # A follower is only *coalesced* if the warm cache actually
             # answered it.  When its leader failed (or the entry was
@@ -393,12 +365,9 @@ class PlanDispatcher:
             # full solve of its own — counting that as coalesced would
             # overstate the dispatcher's savings.
             if predecessor is not None and response.cache_hit:
-                with self._lock:
-                    self._coalesced += 1
-                registry.inc(f"{self.name}.coalesced")
-            with self._lock:
-                self._completed += 1
-            registry.inc(f"{self.name}.completed")
+                self._counters.inc("coalesced", "completed")
+            else:
+                self._counters.inc("completed")
             return response
         finally:
             if flight is not None:
@@ -423,14 +392,5 @@ class PlanDispatcher:
         self.shutdown(wait=True)
 
     def stats(self) -> DispatcherStats:
-        """An immutable snapshot of the counters."""
-        with self._lock:
-            return DispatcherStats(
-                submitted=self._submitted,
-                completed=self._completed,
-                errors=self._errors,
-                leaders=self._leaders,
-                coalesced=self._coalesced,
-                deadline_exceeded=self._deadline_exceeded,
-                workers=self.workers,
-            )
+        """An immutable snapshot of the counts."""
+        return DispatcherStats(workers=self.workers, **self._counters.snapshot())

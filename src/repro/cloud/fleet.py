@@ -28,7 +28,7 @@ bit-identical.
 
 **Multi-corridor mode** (``corridors=`` instead of ``road=``) drives an
 interleaved fleet across several corridors at once — vehicle ``i``
-departs on corridor ``i % len(corridors)`` — against a sharded target
+departs on corridor ``i % len(corridors)`` — against a multi-corridor target
 such as a :class:`~repro.cloud.router.PlanRouter`.  Human references
 are synthesized per corridor (each corridor's own road and signals),
 and the result carries a :class:`CorridorFleetSlice` per corridor next

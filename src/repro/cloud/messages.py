@@ -37,8 +37,8 @@ class PlanRequest:
         speed_ms: Current speed for a mid-route replan.
         minimize: Planning objective, ``"energy"`` or ``"time"``.
         corridor_id: The corridor this trip runs on — the routing key a
-            :class:`~repro.cloud.router.PlanRouter` resolves to a
-            corridor shard.  Defaults to :data:`DEFAULT_CORRIDOR_ID`, so
+            :class:`~repro.cloud.router.PlanRouter` resolves to that
+            corridor's service.  Defaults to :data:`DEFAULT_CORRIDOR_ID`, so
             single-corridor deployments never mention it.
     """
 

@@ -34,8 +34,8 @@ is a cache, never state the protocol depends on.
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.cloud import wire
@@ -53,9 +53,16 @@ from repro.errors import (
 __all__ = ["NetworkPlanTransport", "TransportStats"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransportStats:
-    """Operational counters of one network transport.
+    """Immutable view of one network transport's counts.
+
+    Each field is counted by the transport's :class:`~repro.obs.Counters`
+    and mirrored as ``netclient.<field>``, except two sums: ``resets``
+    adds ``netclient.connect_failures`` to ``netclient.resets``, and
+    ``timeouts`` adds the server's ``timeout`` frames
+    (``netclient.server_timeouts``) to the socket timeouts
+    (``netclient.timeouts``).
 
     Attributes:
         connects: Successful TCP connects (includes reconnects).
@@ -64,7 +71,7 @@ class TransportStats:
         busy: ``busy`` frames received (shed by admission control).
         planning_failures: ``planning_failed`` frames received.
         protocol_rejections: ``protocol``/``internal`` frames received.
-        timeouts: Socket-level receive timeouts.
+        timeouts: Socket-level receive timeouts and ``timeout`` frames.
         resets: Connects refused, resets, and mid-frame EOFs.
         desyncs: Responses that decoded but did not match the request.
         bytes_sent: Frame bytes written.
@@ -82,6 +89,14 @@ class TransportStats:
     desyncs: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[str, int]) -> "TransportStats":
+        """The view of one snapshot of a transport's counts."""
+        counts = dict(counts)
+        counts["resets"] += counts.pop("connect_failures")
+        counts["timeouts"] += counts.pop("server_timeouts")
+        return cls(**counts)
 
 
 class NetworkPlanTransport:
@@ -111,7 +126,14 @@ class NetworkPlanTransport:
         self.timeout_s = float(timeout_s)
         self.max_frame_bytes = int(max_frame_bytes)
         self.persistent = bool(persistent)
-        self.stats = TransportStats()
+        self._counters = obs.Counters(
+            "netclient",
+            (
+                "connects", "requests", "responses", "busy", "planning_failures",
+                "protocol_rejections", "timeouts", "server_timeouts", "resets",
+                "connect_failures", "desyncs", "bytes_sent", "bytes_received",
+            ),
+        )
         self._sock: Optional[socket.socket] = None
         self._assembler: Optional[FrameAssembler] = None
 
@@ -126,8 +148,7 @@ class NetworkPlanTransport:
                 (self.host, self.port), timeout=self.timeout_s
             )
         except OSError as exc:
-            self.stats.resets += 1
-            obs.get_registry().inc("netclient.connect_failures")
+            self._counters.inc("connect_failures")
             raise CloudUnavailableError(
                 f"cannot connect to plan server at {self.host}:{self.port}: {exc}",
                 reason="connect",
@@ -138,8 +159,7 @@ class NetworkPlanTransport:
             max_frame_bytes=self.max_frame_bytes,
             what=f"server {self.host}:{self.port}",
         )
-        self.stats.connects += 1
-        obs.get_registry().inc("netclient.connects")
+        self._counters.inc("connects")
         return sock
 
     def close(self) -> None:
@@ -159,8 +179,10 @@ class NetworkPlanTransport:
         self.close()
 
     def stats_snapshot(self) -> TransportStats:
-        """A point-in-time copy of the transport counters."""
-        return replace(self.stats)
+        """The transport's counts as of one instant."""
+        return TransportStats.from_counts(self._counters.snapshot())
+
+    stats = property(stats_snapshot, doc="The counts as of now (read-only).")
 
     # ------------------------------------------------------------------
     # Frame exchange
@@ -175,12 +197,11 @@ class NetworkPlanTransport:
         frame = encode_frame(payload, self.max_frame_bytes)
         try:
             sock.sendall(frame)
-            self.stats.bytes_sent += len(frame)
+            self._counters.inc("bytes_sent", amount=len(frame))
             reply = self._read_frame(sock)
         except socket.timeout as exc:
             self.close()
-            self.stats.timeouts += 1
-            obs.get_registry().inc("netclient.timeouts")
+            self._counters.inc("timeouts")
             raise CloudUnavailableError(
                 f"plan server at {self.host}:{self.port} did not answer within "
                 f"{self.timeout_s:.1f} s",
@@ -190,8 +211,7 @@ class NetworkPlanTransport:
             ) from exc
         except OSError as exc:
             self.close()
-            self.stats.resets += 1
-            obs.get_registry().inc("netclient.resets")
+            self._counters.inc("resets")
             raise CloudUnavailableError(
                 f"connection to plan server at {self.host}:{self.port} failed: {exc}",
                 vehicle_id=vehicle_id,
@@ -205,8 +225,7 @@ class NetworkPlanTransport:
             # them): the connection can no longer be trusted — drop it
             # and report a retryable transport failure.
             self.close()
-            self.stats.desyncs += 1
-            obs.get_registry().inc("netclient.desyncs")
+            self._counters.inc("desyncs")
             raise CloudUnavailableError(
                 f"undecodable reply from plan server: {exc}",
                 vehicle_id=vehicle_id,
@@ -236,7 +255,7 @@ class NetworkPlanTransport:
                     raise ConnectionResetError(
                         f"connection closed mid-frame: {exc}"
                     ) from exc
-            self.stats.bytes_received += len(data)
+            self._counters.inc("bytes_received", amount=len(data))
             frames = self._assembler.feed(data)
             if frames:
                 # One request is in flight per connection, so the first
@@ -262,17 +281,14 @@ class NetworkPlanTransport:
             WireProtocolError: The server answered: our request was
                 invalid (not retryable).
         """
-        registry = obs.get_registry()
-        self.stats.requests += 1
-        registry.inc("netclient.requests")
+        self._counters.inc("requests")
         kind, message = self._exchange(wire.encode_request(req), req.vehicle_id)
         if kind == wire.RESPONSE_KIND:
             if message.vehicle_id != req.vehicle_id:
                 # A stale (duplicated or reordered) response: the stream
                 # is out of sync — reconnect and let the caller retry.
                 self.close()
-                self.stats.desyncs += 1
-                registry.inc("netclient.desyncs")
+                self._counters.inc("desyncs")
                 raise CloudUnavailableError(
                     f"response for {message.vehicle_id!r} answered a request "
                     f"for {req.vehicle_id!r}",
@@ -280,14 +296,12 @@ class NetworkPlanTransport:
                     attempts=1,
                     reason="desync",
                 )
-            self.stats.responses += 1
-            registry.inc("netclient.responses")
+            self._counters.inc("responses")
             return message
         if kind == wire.ERROR_KIND:
             return self._raise_error_frame(message, req)
         self.close()
-        self.stats.desyncs += 1
-        registry.inc("netclient.desyncs")
+        self._counters.inc("desyncs")
         raise CloudUnavailableError(
             f"unexpected {kind!r} reply to a plan request",
             vehicle_id=req.vehicle_id,
@@ -296,10 +310,8 @@ class NetworkPlanTransport:
         )
 
     def _raise_error_frame(self, err: wire.ErrorFrame, req: PlanRequest):
-        registry = obs.get_registry()
         if err.code == wire.ERROR_BUSY:
-            self.stats.busy += 1
-            registry.inc("netclient.busy")
+            self._counters.inc("busy")
             raise ServerOverloadError(
                 err.message,
                 vehicle_id=req.vehicle_id,
@@ -307,21 +319,18 @@ class NetworkPlanTransport:
                 capacity=err.capacity,
             )
         if err.code == wire.ERROR_TIMEOUT:
-            self.stats.timeouts += 1
-            registry.inc("netclient.server_timeouts")
+            self._counters.inc("server_timeouts")
             raise CloudUnavailableError(
                 err.message, vehicle_id=req.vehicle_id, attempts=1, reason="timeout"
             )
         if err.code == wire.ERROR_PLANNING_FAILED:
-            self.stats.planning_failures += 1
-            registry.inc("netclient.planning_failures")
+            self._counters.inc("planning_failures")
             raise PlanningFailedError(
                 err.message, vehicle_id=req.vehicle_id, depart_s=req.depart_s
             )
         # protocol / internal: the server answered and judged our request
         # defective; identical retries cannot succeed.
-        self.stats.protocol_rejections += 1
-        registry.inc("netclient.protocol_rejections")
+        self._counters.inc("protocol_rejections")
         raise WireProtocolError(err.message, source=f"server error ({err.code})")
 
     def health(self) -> wire.HealthStatus:

@@ -13,9 +13,11 @@ primitive, mirroring the engine layer's
 * **thread-safe** — every operation holds an internal lock, so the
   dispatch layer's worker threads share one cache safely;
 * **counted** — hits, misses, evictions and revalidation misses are
-  tracked exactly (under the lock) and mirrored into :mod:`repro.obs`
-  under ``<name>.hits`` / ``.misses`` / ``.evictions`` /
-  ``.revalidation_misses``.
+  counted once, through one :class:`~repro.obs.Counters` (mirrored as
+  ``<name>.hits`` / ``.misses`` / ``.evictions`` /
+  ``.revalidation_misses``).  Lookups and evictions count under the
+  entry lock, so a :class:`CacheStats` snapshot agrees with the entries
+  it sizes.
 
 Revalidation is a *serving* decision, not a lookup decision — the
 service re-checks a hit's shifted arrivals against the signal windows
@@ -41,7 +43,7 @@ _ABSENT = object()
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Immutable snapshot of one cache's counters.
+    """Immutable view of one cache's counts, taken with its size.
 
     Attributes:
         name: The cache's metrics namespace (e.g. ``"cloud.plan_cache"``).
@@ -106,10 +108,9 @@ class PlanCache:
         self.name = name
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._revalidation_misses = 0
+        self._counters = obs.Counters(
+            name, ("hits", "misses", "evictions", "revalidation_misses")
+        )
 
     def __len__(self) -> int:
         with self._lock:
@@ -131,16 +132,13 @@ class PlanCache:
 
     def get(self, key: Hashable) -> Optional[Any]:
         """The cached value (refreshing recency), else ``None``."""
-        registry = obs.get_registry()
         with self._lock:
             value = self._entries.get(key, _ABSENT)
             if value is _ABSENT:
-                self._misses += 1
-                registry.inc(f"{self.name}.misses")
+                self._counters.inc("misses")
                 return None
             self._entries.move_to_end(key)
-            self._hits += 1
-            registry.inc(f"{self.name}.hits")
+            self._counters.inc("hits")
             return value
 
     def note_hit(self, key: Hashable) -> None:
@@ -151,29 +149,23 @@ class PlanCache:
         (unless another key's insert has evicted it since), as that
         :meth:`get` would have.
         """
-        registry = obs.get_registry()
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._hits += 1
-            registry.inc(f"{self.name}.hits")
+            self._counters.inc("hits")
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) one entry, evicting LRU overflow."""
-        registry = obs.get_registry()
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self._evictions += 1
-                registry.inc(f"{self.name}.evictions")
+                self._counters.inc("evictions")
 
     def note_revalidation_miss(self) -> None:
         """Record a hit the serving layer rejected after revalidation."""
-        with self._lock:
-            self._revalidation_misses += 1
-        obs.get_registry().inc(f"{self.name}.revalidation_misses")
+        self._counters.inc("revalidation_misses")
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""
@@ -181,14 +173,11 @@ class PlanCache:
             self._entries.clear()
 
     def stats(self) -> CacheStats:
-        """An immutable snapshot of the counters."""
+        """An immutable snapshot of the counts and the size."""
         with self._lock:
             return CacheStats(
                 name=self.name,
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                revalidation_misses=self._revalidation_misses,
                 size=len(self._entries),
                 capacity=self.capacity,
+                **self._counters.snapshot(),
             )

@@ -1,7 +1,7 @@
-"""Request routing across corridor shards, behind one service facade.
+"""Request routing across corridors, behind one service facade.
 
 :class:`PlanRouter` is the seam that turns the single-corridor serving
-stack into a sharded one.  It fronts a
+stack into a multi-corridor one.  It fronts a
 :class:`~repro.cloud.registry.CorridorCatalog` and exposes **exactly the
 protocol of a** :class:`~repro.cloud.service.CloudPlannerService` —
 ``request``/``request_cached``/``request_batch``/``coalesce_key`` plus
@@ -12,14 +12,15 @@ so every layer above it (:class:`~repro.cloud.dispatcher.PlanDispatcher`,
 :class:`~repro.resilience.client.ResilientPlanClient`,
 :class:`~repro.cloud.fleet.FleetStudy`) drops on top unchanged.
 
-Routing is deterministic: ``corridor_id`` hashes (CRC-32 — *not*
-Python's randomized ``hash``) to one of N shards, and the corridor's
+Routing is a catalog lookup: ``corridor_id`` names the corridor's
 runtime (its own plan caches, artifact store, and corridor-bound
-service) is built lazily by the catalog on first touch.  Routing is a
+service), which the catalog builds lazily on first touch.  Routing is a
 plain synchronous call in the caller's thread, so a single-corridor
 workload through the router is **bit-identical** to the direct service
 path (gated in ``benchmarks/bench_pr9.py``); serving concurrency comes
-from a dispatcher or server stacked on top.
+from a dispatcher or server stacked on top.  The router counts only
+``routed`` and ``rejected``; every other counter belongs to a corridor's
+own service, caches and store.
 
 Coalesce keys are prefixed with the corridor id, so a dispatcher sitting
 on top of the router can never coalesce two corridors' requests into one
@@ -30,8 +31,6 @@ guarantee matching the service-level
 
 from __future__ import annotations
 
-import threading
-import zlib
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -41,48 +40,32 @@ from repro.cloud.plan_cache import CacheStats
 from repro.cloud.registry import CorridorCatalog
 from repro.cloud.service import CloudPlannerService, ServiceStats
 from repro.core.engine import StoreStats
-from repro.errors import ConfigurationError, UnknownCorridorError
+from repro.errors import UnknownCorridorError
 
-__all__ = ["PlanRouter", "RouterStats", "shard_of"]
-
-
-def shard_of(corridor_id: str, shards: int) -> int:
-    """The shard index a corridor id routes to.
-
-    CRC-32 of the UTF-8 id, modulo the shard count — stable across
-    processes and Python versions, unlike the built-in ``hash`` (which
-    is randomized for strings and would scatter a corridor across
-    different shards on every restart).
-    """
-    return zlib.crc32(corridor_id.encode("utf-8")) % shards
+__all__ = ["PlanRouter", "RouterStats"]
 
 
 @dataclass(frozen=True)
 class RouterStats:
-    """Immutable snapshot of one router's counters.
+    """Immutable view of one router's counts.
 
     Attributes:
-        shards: Shard count.
         corridors_registered: Ids the catalog holds.
         corridors_built: Ids whose runtimes exist (were actually served).
         routed: Requests resolved to a corridor service.
         rejected: Requests naming an unknown corridor
             (:class:`~repro.errors.UnknownCorridorError`).
-        per_shard: Routed-request count per shard index.
     """
 
-    shards: int
     corridors_registered: int
     corridors_built: int
     routed: int
     rejected: int
-    per_shard: Tuple[int, ...]
 
     def summary(self) -> str:
         """One-line human-readable form for CLI/report output."""
         return (
-            f"{self.routed} routed / {self.rejected} rejected across "
-            f"{self.shards} shard(s), "
+            f"{self.routed} routed / {self.rejected} rejected, "
             f"{self.corridors_built}/{self.corridors_registered} corridor(s) built"
         )
 
@@ -92,7 +75,7 @@ class _AggregateCaches:
 
     Exists so callers written against ``service.plan_cache.stats()``
     (the fleet study, CLI summaries) read a fleet-wide roll-up without
-    knowing the stack is sharded.
+    knowing the stack serves several corridors.
     """
 
     __slots__ = ("_router", "_which", "name")
@@ -138,63 +121,31 @@ def _sum_dataclasses(acc, nxt):
 
 
 class PlanRouter:
-    """Route plan requests to per-corridor shards, behind one facade.
+    """Route plan requests to per-corridor services, behind one facade.
 
     Args:
         catalog: The corridor registry; runtimes build lazily on first
             request per corridor.
-        shards: Shard count (>= 1).  Defaults to the number of
-            registered corridors (each corridor its own shard, modulo
-            CRC collisions).
-        name: Metric namespace (``<name>.routed``, ``<name>.rejected``,
-            ``<name>.shard<i>.routed``).
+        name: Metric namespace (``<name>.routed``, ``<name>.rejected``).
     """
 
-    def __init__(
-        self,
-        catalog: CorridorCatalog,
-        shards: Optional[int] = None,
-        name: str = "cloud.router",
-    ) -> None:
-        if shards is None:
-            shards = max(1, len(catalog))
-        if shards < 1:
-            raise ConfigurationError(f"router needs >= 1 shard, got {shards}")
+    def __init__(self, catalog: CorridorCatalog, name: str = "cloud.router") -> None:
         self.catalog = catalog
-        self.shards = int(shards)
         self.name = name
-        self._mutex = threading.Lock()
-        self._routed = 0
-        self._rejected = 0
-        self._per_shard = [0] * self.shards
+        self._counters = obs.Counters(name, ("routed", "rejected"))
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def shard_of(self, corridor_id: str) -> int:
-        """The shard index this corridor routes to (deterministic)."""
-        return shard_of(corridor_id, self.shards)
-
     def _resolve(self, req: PlanRequest) -> CloudPlannerService:
         """The corridor service for a request, with routing accounting."""
         try:
             service = self.catalog.service(req.corridor_id)
         except UnknownCorridorError:
-            with self._mutex:
-                self._rejected += 1
-            obs.get_registry().inc(f"{self.name}.rejected")
+            self._counters.inc("rejected")
             raise
-        self._count_routed(req.corridor_id)
+        self._counters.inc("routed")
         return service
-
-    def _count_routed(self, corridor_id: str) -> None:
-        shard = self.shard_of(corridor_id)
-        with self._mutex:
-            self._routed += 1
-            self._per_shard[shard] += 1
-        registry = obs.get_registry()
-        registry.inc(f"{self.name}.routed")
-        registry.inc(f"{self.name}.shard{shard}.routed")
 
     # ------------------------------------------------------------------
     # The CloudPlannerService protocol
@@ -238,7 +189,7 @@ class PlanRouter:
             return None
         response = self.catalog.service(req.corridor_id).request_cached(req)
         if response is not None:
-            self._count_routed(req.corridor_id)
+            self._counters.inc("routed")
         return response
 
     def request_batch(
@@ -314,13 +265,9 @@ class PlanRouter:
         }
 
     def router_stats(self) -> RouterStats:
-        """An immutable snapshot of the routing counters."""
-        with self._mutex:
-            return RouterStats(
-                shards=self.shards,
-                corridors_registered=len(self.catalog),
-                corridors_built=len(self.catalog.built_ids()),
-                routed=self._routed,
-                rejected=self._rejected,
-                per_shard=tuple(self._per_shard),
-            )
+        """An immutable snapshot of the routing counts."""
+        return RouterStats(
+            corridors_registered=len(self.catalog),
+            corridors_built=len(self.catalog.built_ids()),
+            **self._counters.snapshot(),
+        )

@@ -52,8 +52,8 @@ import asyncio
 import json
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.cloud import wire
@@ -72,9 +72,15 @@ from repro.errors import (
 __all__ = ["PlanServer", "ServerHandle", "ServerStats", "serve_in_background"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServerStats:
-    """Operational counters of one plan server.
+    """Immutable view of one plan server's counts.
+
+    Every field but ``peak_in_flight`` is counted by the server's
+    :class:`~repro.obs.Counters` and mirrored as ``<name>.<field>``,
+    except ``protocol_errors``: the registry's ``<name>.protocol_errors``
+    counts the payload-level errors only, and this view adds
+    ``malformed_frames`` to them.
 
     Attributes:
         connections: Connections accepted.
@@ -119,6 +125,16 @@ class ServerStats:
     read_timeouts: int = 0
     write_timeouts: int = 0
     peak_in_flight: int = 0
+
+    @classmethod
+    def from_counts(
+        cls, counts: Mapping[str, int], peak_in_flight: int
+    ) -> "ServerStats":
+        """The view of one snapshot of a server's counts."""
+        counts = dict(counts)
+        del counts["started"], counts["drained"]
+        counts["protocol_errors"] += counts["malformed_frames"]
+        return cls(peak_in_flight=peak_in_flight, **counts)
 
 
 class _IdleDeadline:
@@ -225,7 +241,17 @@ class PlanServer:
         self.dispatcher = dispatcher or PlanDispatcher(
             service, workers=workers, name=f"{name}.dispatch"
         )
-        self.stats = ServerStats()
+        self._counters = obs.Counters(
+            name,
+            (
+                "connections", "frames", "plan_requests", "served",
+                "planning_failures", "busy_rejections", "drain_rejections",
+                "timeouts", "protocol_errors", "malformed_frames",
+                "internal_errors", "health_requests", "stats_requests",
+                "read_timeouts", "write_timeouts", "started", "drained",
+            ),
+        )
+        self._peak_in_flight = 0
         self._server: Optional[asyncio.AbstractServer] = None
         self._draining = False
         self._flushed = False
@@ -248,7 +274,7 @@ class PlanServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        obs.get_registry().inc(f"{self.name}.started")
+        self._counters.inc("started")
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -304,7 +330,7 @@ class PlanServer:
         await self._finish_handlers(max(deadline - loop.time(), 0.0))
         if self._owns_dispatcher:
             self.dispatcher.shutdown(wait=False)
-        obs.get_registry().inc(f"{self.name}.drained")
+        self._counters.inc("drained")
         return document
 
     async def _finish_handlers(self, timeout_s: float) -> None:
@@ -343,7 +369,7 @@ class PlanServer:
             service=self.service, dispatcher=self.dispatcher
         )
         document["server"] = {
-            **self.stats.__dict__,
+            **asdict(self.stats_snapshot()),
             "in_flight": self._in_flight,
             "max_pending": self.max_pending,
             "draining": self._draining,
@@ -351,12 +377,16 @@ class PlanServer:
         return document
 
     def stats_snapshot(self) -> ServerStats:
-        """A point-in-time copy of the counters.
+        """The counts as of one instant.
 
-        Consistent only on the event-loop thread, which bumps them; from
-        other threads use :meth:`ServerHandle.stats_snapshot`.
+        Every count is exact from any thread, but events the loop counts
+        in one callback (a frame and its plan request, say) are read
+        together only on the event-loop thread; from other threads use
+        :meth:`ServerHandle.stats_snapshot`.
         """
-        return replace(self.stats)
+        return ServerStats.from_counts(self._counters.snapshot(), self._peak_in_flight)
+
+    stats = property(stats_snapshot, doc="The counts as of now (read-only).")
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -373,8 +403,7 @@ class PlanServer:
         """
         frame = encode_frame(payload, self.max_frame_bytes)
         if served:
-            self.stats.served += 1
-            obs.get_registry().inc(f"{self.name}.served")
+            self._counters.inc("served")
         try:
             writer.write(frame)
             if writer.transport.get_write_buffer_size():
@@ -386,8 +415,7 @@ class PlanServer:
                 await writer.drain()
             return True
         except asyncio.TimeoutError:
-            self.stats.write_timeouts += 1
-            obs.get_registry().inc(f"{self.name}.write_timeouts")
+            self._counters.inc("write_timeouts")
             return False
         except (ConnectionError, OSError):
             return False
@@ -419,9 +447,7 @@ class PlanServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        registry = obs.get_registry()
-        self.stats.connections += 1
-        registry.inc(f"{self.name}.connections")
+        self._counters.inc("connections")
         handler = asyncio.current_task()
         self._handlers.add(handler)
         self._writers.add(writer)
@@ -450,25 +476,21 @@ class PlanServer:
                     try:
                         assembler.finish()
                     except WireProtocolError:
-                        self.stats.malformed_frames += 1
-                        self.stats.protocol_errors += 1
-                        registry.inc(f"{self.name}.malformed_frames")
+                        self._counters.inc("malformed_frames")
                     return
                 try:
                     frames = assembler.feed(chunk)
                 except WireProtocolError as exc:
                     # Broken framing poisons the stream: answer typed,
                     # then close — resync is impossible.
-                    self.stats.malformed_frames += 1
-                    self.stats.protocol_errors += 1
-                    registry.inc(f"{self.name}.malformed_frames")
+                    self._counters.inc("malformed_frames")
                     await self._send_error(
                         writer, wire.ERROR_PROTOCOL, str(exc), retryable=False
                     )
                     return
                 for payload in frames:
-                    self.stats.frames += 1
-                    if not await self._handle_frame(payload, writer, registry):
+                    self._counters.inc("frames")
+                    if not await self._handle_frame(payload, writer):
                         return
         finally:
             idle.cancel()
@@ -482,15 +504,11 @@ class PlanServer:
         Closing the transport hands the handler's pending read
         end-of-stream, so the handler returns through its ``finally``.
         """
-        self.stats.read_timeouts += 1
-        obs.get_registry().inc(f"{self.name}.read_timeouts")
+        self._counters.inc("read_timeouts")
         writer.close()
 
     async def _handle_frame(
-        self,
-        payload: bytes,
-        writer: asyncio.StreamWriter,
-        registry: obs.MetricsRegistry,
+        self, payload: bytes, writer: asyncio.StreamWriter
     ) -> bool:
         """Serve one well-framed payload; False tears down the connection."""
         try:
@@ -498,14 +516,12 @@ class PlanServer:
         except WireProtocolError as exc:
             # Payload-level garbage is contained: typed answer, and the
             # connection (whose framing is intact) lives on.
-            self.stats.protocol_errors += 1
-            registry.inc(f"{self.name}.protocol_errors")
+            self._counters.inc("protocol_errors")
             return await self._send_error(
                 writer, wire.ERROR_PROTOCOL, str(exc), retryable=False
             )
         if kind == wire.HEALTH_REQUEST_KIND:
-            self.stats.health_requests += 1
-            registry.inc(f"{self.name}.health_requests")
+            self._counters.inc("health_requests")
             status = wire.HEALTH_DRAINING if self._draining else wire.HEALTH_OK
             return await self._send(
                 writer,
@@ -518,18 +534,16 @@ class PlanServer:
                 ),
             )
         if kind == wire.STATS_REQUEST_KIND:
-            self.stats.stats_requests += 1
-            registry.inc(f"{self.name}.stats_requests")
+            self._counters.inc("stats_requests")
             return await self._send(
                 writer,
                 wire.encode_stats_response(self.stats_document()),
             )
         if kind == wire.REQUEST_KIND:
-            return await self._handle_plan_request(message, writer, registry)
+            return await self._handle_plan_request(message, writer)
         # A client pushing server->client kinds (responses, errors) is
         # off-protocol; answer typed and keep listening.
-        self.stats.protocol_errors += 1
-        registry.inc(f"{self.name}.protocol_errors")
+        self._counters.inc("protocol_errors")
         return await self._send_error(
             writer,
             wire.ERROR_PROTOCOL,
@@ -537,22 +551,14 @@ class PlanServer:
             retryable=False,
         )
 
-    async def _handle_plan_request(
-        self,
-        req,
-        writer: asyncio.StreamWriter,
-        registry: obs.MetricsRegistry,
-    ) -> bool:
-        self.stats.plan_requests += 1
-        registry.inc(f"{self.name}.plan_requests")
+    async def _handle_plan_request(self, req, writer: asyncio.StreamWriter) -> bool:
+        self._counters.inc("plan_requests")
         if self._draining or self._in_flight >= self.max_pending:
-            self.stats.busy_rejections += 1
-            registry.inc(f"{self.name}.busy_rejections")
             if self._draining:
-                self.stats.drain_rejections += 1
-                registry.inc(f"{self.name}.drain_rejections")
+                self._counters.inc("busy_rejections", "drain_rejections")
                 detail = "server is draining"
             else:
+                self._counters.inc("busy_rejections")
                 detail = (
                     f"admission queue full ({self._in_flight}/{self.max_pending})"
                 )
@@ -566,7 +572,7 @@ class PlanServer:
                 capacity=self.max_pending,
             )
         self._in_flight += 1
-        self.stats.peak_in_flight = max(self.stats.peak_in_flight, self._in_flight)
+        self._peak_in_flight = max(self._peak_in_flight, self._in_flight)
         self._idle.clear()
         try:
             try:
@@ -583,8 +589,7 @@ class PlanServer:
                         )
                     except asyncio.TimeoutError:
                         future.cancel()
-                        self.stats.timeouts += 1
-                        registry.inc(f"{self.name}.timeouts")
+                        self._counters.inc("timeouts")
                         return await self._send_error(
                             writer,
                             wire.ERROR_TIMEOUT,
@@ -594,8 +599,7 @@ class PlanServer:
                             vehicle_id=req.vehicle_id,
                         )
             except DispatchDeadlineError as exc:
-                self.stats.timeouts += 1
-                registry.inc(f"{self.name}.timeouts")
+                self._counters.inc("timeouts")
                 return await self._send_error(
                     writer,
                     wire.ERROR_TIMEOUT,
@@ -604,8 +608,7 @@ class PlanServer:
                     vehicle_id=req.vehicle_id,
                 )
             except PlanningFailedError as exc:
-                self.stats.planning_failures += 1
-                registry.inc(f"{self.name}.planning_failures")
+                self._counters.inc("planning_failures")
                 return await self._send_error(
                     writer,
                     wire.ERROR_PLANNING_FAILED,
@@ -616,8 +619,7 @@ class PlanServer:
             except InputValidationError as exc:
                 # The request parsed but violated the service contract
                 # (position beyond the route, say) — the client's fault.
-                self.stats.protocol_errors += 1
-                registry.inc(f"{self.name}.protocol_errors")
+                self._counters.inc("protocol_errors")
                 return await self._send_error(
                     writer,
                     wire.ERROR_PROTOCOL,
@@ -626,8 +628,7 @@ class PlanServer:
                     vehicle_id=req.vehicle_id,
                 )
             except Exception as exc:  # noqa: BLE001 - contained per-request
-                self.stats.internal_errors += 1
-                registry.inc(f"{self.name}.internal_errors")
+                self._counters.inc("internal_errors")
                 return await self._send_error(
                     writer,
                     wire.ERROR_INTERNAL,
@@ -668,11 +669,14 @@ class ServerHandle:
         return self.server.address
 
     def stats_snapshot(self) -> ServerStats:
-        """A copy of the server's counters in which no two disagree.
+        """A copy of the server's counts in which no two disagree.
 
-        The counters are bumped on the event-loop thread, so the copy is
-        taken there.  Called on that thread, or once the drain has
-        stopped the loop, it copies directly.
+        Each count is exact from any thread, but the loop counts some
+        events in one callback (a frame, then its plan request), and a
+        snapshot between the two would split them.  So the copy is taken
+        on the event-loop thread, between callbacks.  Called on that
+        thread, or once the drain has stopped the loop, it copies
+        directly.
         """
         if threading.current_thread() is not self._thread:
             copied: "Future[ServerStats]" = Future()

@@ -25,19 +25,19 @@ and composes the mechanism layers:
   clients that round-trip requests/responses through the codec.
 
 Thread-safety: :meth:`request` and :meth:`request_cached` may be called
-from multiple threads concurrently.  The caches lock internally and the
-stats counters mutate under the service's own lock, so the
-``requests == cache_hits + cache_misses + errors`` invariant holds under
-concurrency too.
+from multiple threads concurrently.  The caches lock internally and each
+serving event is counted once, by the service's
+:class:`~repro.obs.Counters`, so no count is lost under concurrency and
+the ``requests == cache_hits + cache_misses + errors`` invariant holds
+in every snapshot taken while no request is in progress.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time as _time
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.cloud.messages import DEFAULT_CORRIDOR_ID, PlanRequest, PlanResponse
@@ -55,15 +55,17 @@ from repro.guard.contracts import validate_plan_request
 from repro.guard.plan_check import PlanValidator
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServiceStats:
-    """Operational counters of the service.
+    """Immutable view of one service's counts.
 
-    Every request increments exactly one of ``cache_hits``,
+    Every request counts exactly one of ``cache_hits``,
     ``cache_misses`` or ``errors``, so
-    ``requests == cache_hits + cache_misses + errors`` always holds —
-    including when the planner raises mid-request, and under concurrent
-    dispatch (the service mutates these under a lock).
+    ``requests == cache_hits + cache_misses + errors`` holds once the
+    requests in progress have finished — including when the planner
+    raises mid-request, and under concurrent dispatch.  The registry
+    mirrors ``cache_hits`` and ``cache_misses`` as ``<name>.hits`` and
+    ``<name>.misses``; every other field under its own name.
 
     Attributes:
         requests: Total requests received (served or not).
@@ -95,6 +97,18 @@ class ServiceStats:
         served = self.cache_hits + self.cache_misses
         return self.cache_hits / served if served else 0.0
 
+    @classmethod
+    def from_counts(cls, counts: Mapping[str, float]) -> "ServiceStats":
+        """The view of one snapshot of a service's counts."""
+        return cls(
+            requests=counts["requests"],
+            cache_hits=counts["hits"],
+            cache_misses=counts["misses"],
+            errors=counts["errors"],
+            revalidation_misses=counts["revalidation_misses"],
+            total_compute_s=float(counts["total_compute_s"]),
+        )
+
 
 class CloudPlannerService:
     """Serves velocity plans to vehicles, caching by signal phase.
@@ -120,7 +134,7 @@ class CloudPlannerService:
         name: Metric namespace of this service's counters and caches
             (``<name>.requests``, ``<name>.plan_cache.hits``, …).  The
             default preserves the historical ``cloud.*`` names; a
-            corridor shard passes e.g. ``cloud.elm-street`` so
+            catalog corridor's service passes e.g. ``cloud.elm-street`` so
             ``--metrics`` and the server stats frame break hit rates
             down by corridor.
         corridor_id: The corridor this service is bound to.  A request
@@ -155,8 +169,13 @@ class CloudPlannerService:
         self.phase_quantum_s = float(phase_quantum_s)
         self.budget_quantum_s = float(budget_quantum_s)
         self.default_budget_slack_s = float(default_budget_slack_s)
-        self.stats = ServiceStats()
-        self._mutex = threading.Lock()
+        self._counters = obs.Counters(
+            self.name,
+            (
+                "requests", "hits", "misses", "errors", "revalidation_misses",
+                "guard_rejections", "replans", "uncached", "total_compute_s",
+            ),
+        )
         self.plan_cache = PlanCache(
             capacity=cache_capacity, name=f"{self.name}.plan_cache"
         )
@@ -253,12 +272,11 @@ class CloudPlannerService:
 
         Raises:
             PlanningFailedError: The planner found the request infeasible.
-                ``stats.errors`` is incremented and any planner wall time
+                ``stats.errors`` is counted and any planner wall time
                 spent is accounted in ``stats.total_compute_s`` before the
                 raise, so counters stay consistent for callers that catch
                 it and continue.
         """
-        registry = obs.get_registry()
         # Screen the one thing the frozen request could not check about
         # itself: its position against this service's route.  The
         # request's own field contract (finiteness, ceilings) already ran
@@ -272,17 +290,15 @@ class CloudPlannerService:
             check_fields=False,
         )
         t_req = _time.perf_counter()
-        with self._mutex:
-            self.stats.requests += 1
-        registry.inc(f"{self.name}.requests")
+        self._counters.inc("requests")
+        registry = obs.get_registry()
         try:
-            response = self._serve(req, registry)
+            response = self._serve(req)
         except (InfeasibleProblemError, PlanRejectedError) as exc:
-            with self._mutex:
-                self.stats.errors += 1
-            registry.inc(f"{self.name}.errors")
             if isinstance(exc, PlanRejectedError):
-                registry.inc(f"{self.name}.guard_rejections")
+                self._counters.inc("errors", "guard_rejections")
+            else:
+                self._counters.inc("errors")
             registry.observe(f"{self.name}.request_s", _time.perf_counter() - t_req)
             raise PlanningFailedError(
                 f"no feasible plan for {req.vehicle_id!r} departing at "
@@ -302,12 +318,11 @@ class CloudPlannerService:
         :meth:`request`.  When that accepts the hit, this counts exactly
         what :meth:`request` counts for it, once: ``requests``, the
         min-time memo hit of a budget-less request, the plan-cache hit and
-        ``cache_hits``, with their registry mirrors and the
-        ``request_s`` observation.  Otherwise it counts nothing and
-        returns ``None``, and the request is left for :meth:`request`:
-        replans, non-energy objectives, uncacheable planners, another
-        corridor's requests, a cold min-time memo or plan cache, and hits
-        that fail revalidation.  (The route-length screen of
+        ``cache_hits``, and the ``request_s`` observation.  Otherwise it
+        counts nothing and returns ``None``, and the request is left for
+        :meth:`request`: replans, non-energy objectives, uncacheable
+        planners, another corridor's requests, a cold min-time memo or
+        plan cache, and hits that fail revalidation.  (The route-length screen of
         :meth:`request` cannot fail here: a request that is not a replan
         starts at position 0.)
         """
@@ -333,15 +348,13 @@ class CloudPlannerService:
         response = self._hit(req, cached)
         if response is None:
             return None
-        registry = obs.get_registry()
-        with self._mutex:
-            self.stats.requests += 1
-        registry.inc(f"{self.name}.requests")
         if req.max_trip_time_s is None:
             self.min_time_cache.note_hit(phase_bin)
         self.plan_cache.note_hit(key)
-        self._count_hit(registry)
-        registry.observe(f"{self.name}.request_s", _time.perf_counter() - t_req)
+        self._counters.inc("requests", "hits")
+        obs.get_registry().observe(
+            f"{self.name}.request_s", _time.perf_counter() - t_req
+        )
         return response
 
     def _hit(self, req: PlanRequest, cached: Tuple) -> Optional[PlanResponse]:
@@ -360,15 +373,10 @@ class CloudPlannerService:
             corridor_id=req.corridor_id,
         )
 
-    def _count_hit(self, registry: obs.MetricsRegistry) -> None:
-        with self._mutex:
-            self.stats.cache_hits += 1
-        registry.inc(f"{self.name}.hits")
-
-    def _serve(self, req: PlanRequest, registry: obs.MetricsRegistry) -> PlanResponse:
+    def _serve(self, req: PlanRequest) -> PlanResponse:
         """Serve one request: cache lookup + revalidation, else a solve."""
         if req.is_replan or req.minimize != "energy":
-            return self._serve_uncached(req, registry)
+            return self._serve_uncached(req)
         budget = req.max_trip_time_s
         if budget is None:
             budget = self._fastest_trip(req.depart_s) + self.default_budget_slack_s
@@ -380,12 +388,10 @@ class CloudPlannerService:
             if cached is not None:
                 response = self._hit(req, cached)
                 if response is not None:
-                    self._count_hit(registry)
+                    self._counters.inc("hits")
                     return response
                 self.plan_cache.note_revalidation_miss()
-                with self._mutex:
-                    self.stats.revalidation_misses += 1
-                registry.inc(f"{self.name}.revalidation_misses")
+                self._counters.inc("revalidation_misses")
 
         t0 = _time.perf_counter()
         try:
@@ -396,12 +402,9 @@ class CloudPlannerService:
             # Failed solves burn real planner time too; account it so the
             # service's compute economics stay honest under errors.
             compute = _time.perf_counter() - t0
-            with self._mutex:
-                self.stats.total_compute_s += compute
+            self._counters.inc("total_compute_s", amount=compute)
         self._screen(solution, req.depart_s)
-        with self._mutex:
-            self.stats.cache_misses += 1
-        registry.inc(f"{self.name}.misses")
+        self._counters.inc("misses")
         if key is not None:
             # Every later hit of the key shares these arrays (and the
             # timings and text derived from them), so a write through any
@@ -423,9 +426,7 @@ class CloudPlannerService:
             corridor_id=req.corridor_id,
         )
 
-    def _serve_uncached(
-        self, req: PlanRequest, registry: obs.MetricsRegistry
-    ) -> PlanResponse:
+    def _serve_uncached(self, req: PlanRequest) -> PlanResponse:
         """Serve a mid-route replan or a non-energy objective.
 
         Phase caching does not apply: a replan is specific to the
@@ -454,13 +455,9 @@ class CloudPlannerService:
                 )
         finally:
             compute = _time.perf_counter() - t0
-            with self._mutex:
-                self.stats.total_compute_s += compute
+            self._counters.inc("total_compute_s", amount=compute)
         self._screen(solution, req.depart_s)
-        with self._mutex:
-            self.stats.cache_misses += 1
-        registry.inc(f"{self.name}.misses")
-        registry.inc(f"{self.name}.replans" if req.is_replan else f"{self.name}.uncached")
+        self._counters.inc("misses", "replans" if req.is_replan else "uncached")
         return PlanResponse(
             vehicle_id=req.vehicle_id,
             profile=solution.profile,
@@ -543,8 +540,9 @@ class CloudPlannerService:
                 try:
                     cached = self.planner.min_trip_time(depart_s)
                 finally:
-                    with self._mutex:
-                        self.stats.total_compute_s += _time.perf_counter() - t0
+                    self._counters.inc(
+                        "total_compute_s", amount=_time.perf_counter() - t0
+                    )
                 self.min_time_exact.put(depart_s, cached)
             return cached
         phase_bin = self._phase_bin(depart_s)
@@ -554,8 +552,7 @@ class CloudPlannerService:
             try:
                 cached = self.planner.min_trip_time(depart_s)
             finally:
-                with self._mutex:
-                    self.stats.total_compute_s += _time.perf_counter() - t0
+                self._counters.inc("total_compute_s", amount=_time.perf_counter() - t0)
             self.min_time_cache.put(phase_bin, cached)
         return cached
 
@@ -571,15 +568,14 @@ class CloudPlannerService:
         return getattr(self.planner, "store", None)
 
     def stats_snapshot(self) -> ServiceStats:
-        """A point-in-time copy of the counters, safe to keep in results.
+        """The counts as of one instant, safe to keep in results.
 
-        ``stats`` itself is the *live* mutable record — later requests
-        keep mutating it.  Result objects (fleet studies, benchmarks)
-        must hold this snapshot instead, so a finished study's numbers
-        cannot drift afterwards.
+        Later requests never change a returned view, so a finished
+        study's numbers cannot drift afterwards.
         """
-        with self._mutex:
-            return replace(self.stats)
+        return ServiceStats.from_counts(self._counters.snapshot())
+
+    stats = property(stats_snapshot, doc="The counts as of now (read-only).")
 
     def cache_stats(self) -> Tuple[CacheStats, CacheStats, CacheStats]:
         """Snapshots of (plan cache, min-time memo, exact min-time memo)."""

@@ -11,12 +11,16 @@ stood up.
 
 When the ``service`` is a :class:`~repro.cloud.router.PlanRouter` the
 top-level sections hold the fleet-wide roll-up (so dashboards keyed on
-them keep working), and two extra sections appear: ``router`` (shard
-count and routed/rejected counters) and ``corridors`` — one full
+them keep working), and two extra sections appear: ``router`` (corridor
+counts and routed/rejected counters) and ``corridors`` — one full
 service/cache/store breakdown per built corridor, so hit rates are
 inspectable per corridor, not just in aggregate.  The sections are
 duck-typed (``per_corridor_services``/``router_stats``), so anything
 exposing that surface gets the same treatment.
+
+Every section is read from the components' typed ``*Stats`` views, each
+of them one snapshot of the component's :class:`~repro.obs.Counters`,
+so the document reports the same counts as the registry mirrors.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Any, Dict, Optional
 
-#: Document schema tag; bump on incompatible layout changes.
-STATS_SCHEMA = "repro.cloud.stats/v2"
+#: Document schema tag; bump on incompatible layout changes (v3 dropped
+#: the router's ``shards`` and ``per_shard``).
+STATS_SCHEMA = "repro.cloud.stats/v3"
 
 __all__ = ["STATS_SCHEMA", "compose_stats_document"]
 
@@ -46,21 +51,10 @@ def _cache_section(cache_stats) -> Dict[str, Any]:
 
 def _client_section(client) -> Dict[str, Any]:
     stats = client.stats
-    return {
-        "requests": stats.requests,
-        "served": stats.served,
-        "attempts": stats.attempts,
-        "retries": stats.retries,
-        "drops": stats.drops,
-        "outage_drops": stats.outage_drops,
-        "deadline_exceeded": stats.deadline_exceeded,
-        "failures": stats.failures,
-        "fast_fails": stats.fast_fails,
-        "transport_errors": stats.transport_errors,
-        "busy_rejections": stats.busy_rejections,
-        "breaker_state": stats.breaker_state,
-        "breaker_opens": stats.breaker_opens,
-    }
+    section = asdict(stats)
+    del section["transitions"]
+    section["breaker_opens"] = stats.breaker_opens
+    return section
 
 
 def compose_stats_document(
@@ -93,10 +87,7 @@ def compose_stats_document(
             store = service.artifact_store
         router_stats = getattr(service, "router_stats", None)
         if callable(router_stats):
-            snapshot = router_stats()
-            router_section = asdict(snapshot)
-            router_section["per_shard"] = list(snapshot.per_shard)
-            document["router"] = router_section
+            document["router"] = asdict(router_stats())
         per_corridor = getattr(service, "per_corridor_services", None)
         if callable(per_corridor):
             corridors: Dict[str, Any] = {}

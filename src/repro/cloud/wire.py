@@ -37,7 +37,7 @@ schema changes (a removed/renamed key, a semantic change to an existing
 key).  The decoder accepts exactly the version it implements and
 rejects everything else loudly — there is no silent best-effort parsing
 of foreign versions.  Version 2 added ``corridor_id`` to plan requests
-and responses (the routing key of the sharded serving stack); a
+and responses (the routing key of the multi-corridor serving stack); a
 version-1 payload is refused like any other unknown version, with a
 typed error naming ``wire_version``.
 """

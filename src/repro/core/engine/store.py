@@ -8,10 +8,11 @@ same ``(road, vehicle, grid)`` inputs to the same digest, so the first
 build pays and everyone after hits.
 
 The store is deliberately small and explicit: a capacity-bounded LRU
-keyed by :func:`~repro.core.engine.artifacts.corridor_digest`, with
-hit/miss/eviction counters exported through :mod:`repro.obs`
-(``engine.store.hits`` / ``.misses`` / ``.evictions``) and snapshotted
-by :meth:`ArtifactStore.stats` for result summaries.
+keyed by :func:`~repro.core.engine.artifacts.corridor_digest`, whose
+hits, misses and evictions are counted by one
+:class:`~repro.obs.Counters` (mirrored as ``engine.store.hits`` /
+``.misses`` / ``.evictions``) and viewed through
+:meth:`ArtifactStore.stats` for result summaries.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = ["ArtifactStore", "StoreStats"]
 
 @dataclass(frozen=True)
 class StoreStats:
-    """Immutable snapshot of one store's counters.
+    """Immutable view of one store's counts, taken with its size.
 
     Attributes:
         hits: Lookups answered from the store.
@@ -80,7 +81,7 @@ class ArtifactStore:
         name: Metric namespace for the observability counters
             (``<name>.hits`` / ``.misses`` / ``.evictions``).  The
             default preserves the historical ``engine.store.*`` names; a
-            corridor shard passes e.g. ``engine.store.us25`` so
+            catalog corridor's store passes e.g. ``engine.store.us25`` so
             ``--metrics`` output breaks down by corridor.
 
     Thread-safe: lookups and insertions hold an internal lock (builds
@@ -96,9 +97,7 @@ class ArtifactStore:
         self.name = str(name)
         self._entries: "OrderedDict[str, CorridorArtifacts]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._counters = obs.Counters(self.name, ("hits", "misses", "evictions"))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -125,8 +124,7 @@ class ArtifactStore:
             self._entries.move_to_end(artifacts.digest)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self._evictions += 1
-                obs.get_registry().inc(f"{self.name}.evictions")
+                self._counters.inc("evictions")
 
     def get_or_build(
         self,
@@ -157,17 +155,12 @@ class ArtifactStore:
             enforce_min_speed=enforce_min_speed,
             environment=environment,
         )
-        registry = obs.get_registry()
         cached = self.get(digest)
         if cached is not None:
-            with self._lock:
-                self._hits += 1
-            registry.inc(f"{self.name}.hits")
+            self._counters.inc("hits")
             return cached
-        with self._lock:
-            self._misses += 1
-        registry.inc(f"{self.name}.misses")
-        with registry.span("engine.artifacts.build") as span:
+        self._counters.inc("misses")
+        with obs.get_registry().span("engine.artifacts.build") as span:
             artifacts = CorridorArtifacts.build(
                 road,
                 vehicle,
@@ -187,12 +180,10 @@ class ArtifactStore:
             self._entries.clear()
 
     def stats(self) -> StoreStats:
-        """An immutable snapshot of the counters."""
+        """An immutable snapshot of the counts and the size."""
         with self._lock:
             return StoreStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
                 size=len(self._entries),
                 capacity=self.capacity,
+                **self._counters.snapshot(),
             )

@@ -27,8 +27,13 @@ or hand a scoped registry to one measurement::
 
 ``repro-plan --metrics[=PATH]`` and ``repro-experiments --metrics PATH``
 surface the same reports from the command line.
+
+The serving components count their events through :class:`Counters`:
+exact per-instance counts that their typed ``*Stats`` views read, each
+mirrored as a registry counter while the registry is enabled.
 """
 
+from repro.obs.counters import Counters
 from repro.obs.export import summary, to_csv, to_json
 from repro.obs.registry import (
     Histogram,
@@ -41,6 +46,7 @@ from repro.obs.registry import (
 )
 
 __all__ = [
+    "Counters",
     "Histogram",
     "MetricsRegistry",
     "Span",

@@ -20,8 +20,10 @@ the request path survivable:
 
 All waits are *simulated* (the client never sleeps): time advances only
 through the ``now_s`` values callers pass in, which is the simulation
-clock in closed-loop runs.  Every state transition and retry is recorded
-both in :class:`ClientStats` and the active :mod:`repro.obs` registry.
+clock in closed-loop runs.  Every retry and outcome is counted once, by
+the client's :class:`~repro.obs.Counters` (mirrored as
+``resilience.*``), and every breaker transition is kept with the breaker
+state; :class:`ClientStats` is a view of both.
 
 With no fault model attached the client is a pure pass-through — the
 service sees exactly the requests it would have seen without the client.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.cloud.messages import PlanRequest, PlanResponse
@@ -56,9 +58,14 @@ BREAKER_HALF_OPEN = "half_open"
 _STATE_GAUGE = {BREAKER_CLOSED: 0.0, BREAKER_HALF_OPEN: 1.0, BREAKER_OPEN: 2.0}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientStats:
-    """Operational counters of one resilient client.
+    """Immutable view of one resilient client's counts and breaker.
+
+    Each count is mirrored as ``resilience.<field>``, except ``served``:
+    the registry counts the answered plans as ``resilience.served`` and
+    the infeasible answers as ``resilience.infeasible``, and this view
+    adds them.
 
     Attributes:
         requests: Requests submitted (including fast-fails).
@@ -101,6 +108,18 @@ class ClientStats:
     def breaker_opens(self) -> int:
         """Times the breaker tripped open."""
         return sum(1 for _, _, to in self.transitions if to == BREAKER_OPEN)
+
+    @classmethod
+    def from_counts(
+        cls,
+        counts: Mapping[str, int],
+        breaker_state: str,
+        transitions: List[Tuple[float, str, str]],
+    ) -> "ClientStats":
+        """The view of one snapshot of a client's counts and breaker."""
+        counts = dict(counts)
+        counts["served"] += counts.pop("infeasible")
+        return cls(breaker_state=breaker_state, transitions=transitions, **counts)
 
 
 class ResilientPlanClient:
@@ -155,7 +174,16 @@ class ResilientPlanClient:
         self.backoff_jitter = float(backoff_jitter)
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
-        self.stats = ClientStats()
+        self._counters = obs.Counters(
+            "resilience",
+            (
+                "requests", "served", "infeasible", "attempts", "retries", "drops",
+                "outage_drops", "deadline_exceeded", "failures", "fast_fails",
+                "transport_errors", "busy_rejections",
+            ),
+        )
+        self._breaker_state = BREAKER_CLOSED
+        self._transitions: List[Tuple[float, str, str]] = []
         self._request_index = 0
         self._consecutive_failures = 0
         self._opened_at_s = 0.0
@@ -165,15 +193,23 @@ class ResilientPlanClient:
         self._breaker_mutex = threading.Lock()
         self._probe_in_flight = False
 
+    def stats_snapshot(self) -> ClientStats:
+        """The counts and the breaker as of one instant."""
+        with self._breaker_mutex:
+            state, transitions = self._breaker_state, list(self._transitions)
+        return ClientStats.from_counts(self._counters.snapshot(), state, transitions)
+
+    stats = property(stats_snapshot, doc="The counts as of now (read-only).")
+
     # ------------------------------------------------------------------
     # Breaker
     # ------------------------------------------------------------------
     def _transition(self, to: str, now_s: float) -> None:
-        state = self.stats.breaker_state
+        state = self._breaker_state
         if state == to:
             return
-        self.stats.breaker_state = to
-        self.stats.transitions.append((now_s, state, to))
+        self._breaker_state = to
+        self._transitions.append((now_s, state, to))
         registry = obs.get_registry()
         registry.inc(f"resilience.breaker.{to}")
         registry.gauge("resilience.breaker.state", _STATE_GAUGE[to])
@@ -189,7 +225,7 @@ class ResilientPlanClient:
         herd onto a service that just proved unhealthy.
         """
         with self._breaker_mutex:
-            state = self.stats.breaker_state
+            state = self._breaker_state
             if state == BREAKER_CLOSED:
                 return True
             if state == BREAKER_OPEN:
@@ -208,12 +244,12 @@ class ResilientPlanClient:
         with self._breaker_mutex:
             self._consecutive_failures = 0
             self._probe_in_flight = False
-            if self.stats.breaker_state != BREAKER_CLOSED:
+            if self._breaker_state != BREAKER_CLOSED:
                 self._transition(BREAKER_CLOSED, now_s)
 
     def _record_failure(self, now_s: float) -> None:
         with self._breaker_mutex:
-            if self.stats.breaker_state == BREAKER_HALF_OPEN:
+            if self._breaker_state == BREAKER_HALF_OPEN:
                 # The probe failed: straight back to open, fresh cooldown.
                 self._probe_in_flight = False
                 self._opened_at_s = now_s
@@ -259,15 +295,12 @@ class ResilientPlanClient:
                 breaker — the transport worked).
         """
         t = req.depart_s if now_s is None else float(now_s)
-        registry = obs.get_registry()
-        self.stats.requests += 1
-        registry.inc("resilience.requests")
+        self._counters.inc("requests")
         index = self._request_index
         self._request_index += 1
 
         if not self._breaker_admits(t):
-            self.stats.fast_fails += 1
-            registry.inc("resilience.fast_fails")
+            self._counters.inc("fast_fails")
             raise CloudUnavailableError(
                 f"breaker open: request for {req.vehicle_id!r} fast-failed at "
                 f"{t:.1f} s",
@@ -279,7 +312,7 @@ class ResilientPlanClient:
         elapsed = 0.0
         reason = "drop"
         attempts_allowed = (
-            1 if self.stats.breaker_state == BREAKER_HALF_OPEN else self.max_attempts
+            1 if self._breaker_state == BREAKER_HALF_OPEN else self.max_attempts
         )
         attempts = 0
         for attempt in range(attempts_allowed):
@@ -287,14 +320,12 @@ class ResilientPlanClient:
                 wait = self.backoff_s(index, attempt)
                 if elapsed + wait > self.deadline_s:
                     reason = "deadline"
-                    self.stats.deadline_exceeded += 1
-                    registry.inc("resilience.deadline_exceeded")
+                    self._counters.inc("deadline_exceeded")
                     break
                 elapsed += wait
-                self.stats.retries += 1
-                registry.inc("resilience.retries")
+                self._counters.inc("retries")
             attempts += 1
-            self.stats.attempts += 1
+            self._counters.inc("attempts")
             decision = (
                 self.fault.evaluate(index, attempt, t + elapsed)
                 if self.fault is not None
@@ -303,17 +334,15 @@ class ResilientPlanClient:
             if decision is not None:
                 if elapsed + decision.latency_s > self.deadline_s:
                     reason = "deadline"
-                    self.stats.deadline_exceeded += 1
-                    registry.inc("resilience.deadline_exceeded")
+                    self._counters.inc("deadline_exceeded")
                     break
                 elapsed += decision.latency_s
                 if decision.dropped:
-                    self.stats.drops += 1
-                    registry.inc("resilience.drops")
                     if decision.in_outage:
-                        self.stats.outage_drops += 1
+                        self._counters.inc("drops", "outage_drops")
                         reason = "outage"
                     else:
+                        self._counters.inc("drops")
                         reason = "drop"
                     continue
             try:
@@ -321,8 +350,7 @@ class ResilientPlanClient:
             except PlanningFailedError:
                 # The service answered: transport is healthy even though
                 # the problem was infeasible.
-                self.stats.served += 1
-                registry.inc("resilience.infeasible")
+                self._counters.inc("infeasible")
                 self._record_success(t + elapsed)
                 raise
             except WireProtocolError:
@@ -337,20 +365,18 @@ class ResilientPlanClient:
                 # transport) failed this attempt: BUSY shed, timeout,
                 # reset, garbled reply.  Retryable, exactly like an
                 # injected drop.
-                self.stats.transport_errors += 1
-                registry.inc("resilience.transport_errors")
                 if isinstance(exc, ServerOverloadError):
-                    self.stats.busy_rejections += 1
-                    registry.inc("resilience.busy_rejections")
+                    self._counters.inc("transport_errors", "busy_rejections")
+                else:
+                    self._counters.inc("transport_errors")
                 reason = exc.reason
                 continue
-            self.stats.served += 1
-            registry.observe("resilience.request_elapsed_s", elapsed)
+            self._counters.inc("served")
+            obs.get_registry().observe("resilience.request_elapsed_s", elapsed)
             self._record_success(t + elapsed)
             return response
 
-        self.stats.failures += 1
-        registry.inc("resilience.failures")
+        self._counters.inc("failures")
         self._record_failure(t + elapsed)
         raise CloudUnavailableError(
             f"cloud unreachable for {req.vehicle_id!r} after {attempts} "

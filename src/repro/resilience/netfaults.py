@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import socket
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro import obs
@@ -116,9 +116,13 @@ class NetFaultSpec:
         return "pass", delayed
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProxyStats:
-    """Counters of what the proxy did to the stream."""
+    """Immutable view of what the proxy did to the stream.
+
+    Each field is counted by the proxy's :class:`~repro.obs.Counters`
+    and mirrored as ``netfaults.<field>``.
+    """
 
     connections: int = 0
     frames: int = 0
@@ -163,7 +167,13 @@ class ChaosProxy:
         self.upstream = (upstream[0], int(upstream[1]))
         self.spec = spec
         self.max_frame_bytes = int(max_frame_bytes)
-        self.stats = ProxyStats()
+        self._counters = obs.Counters(
+            "netfaults",
+            (
+                "connections", "frames", "passed", "dropped", "delayed",
+                "truncated", "duplicated", "upstream_failures",
+            ),
+        )
         self._mutex = threading.Lock()
         self._closing = threading.Event()
         self._threads: List[threading.Thread] = []
@@ -201,9 +211,10 @@ class ChaosProxy:
         self.close()
 
     def stats_snapshot(self) -> ProxyStats:
-        """A point-in-time copy of the fault counters."""
-        with self._mutex:
-            return replace(self.stats)
+        """The fault counts as of one instant."""
+        return ProxyStats(**self._counters.snapshot())
+
+    stats = property(stats_snapshot, doc="The counts as of now (read-only).")
 
     # ------------------------------------------------------------------
     # Relay machinery
@@ -219,14 +230,11 @@ class ChaosProxy:
             with self._mutex:
                 conn_idx = self._conn_count
                 self._conn_count += 1
-                self.stats.connections += 1
-            obs.get_registry().inc("netfaults.connections")
+            self._counters.inc("connections")
             try:
                 server = socket.create_connection(self.upstream, timeout=5.0)
             except OSError:
-                with self._mutex:
-                    self.stats.upstream_failures += 1
-                obs.get_registry().inc("netfaults.upstream_failures")
+                self._counters.inc("upstream_failures")
                 client.close()
                 continue
             # One shared teardown flag per connection: a truncation in
@@ -309,26 +317,18 @@ class ChaosProxy:
         dst: socket.socket,
     ) -> bool:
         """Apply the seeded fate to one frame; False tears down."""
-        registry = obs.get_registry()
         action, delayed = self.spec.decide(direction, conn_idx, frame_idx)
-        with self._mutex:
-            self.stats.frames += 1
+        self._counters.inc("frames")
         if delayed:
-            with self._mutex:
-                self.stats.delayed += 1
-            registry.inc("netfaults.delayed")
+            self._counters.inc("delayed")
             if self._closing.wait(self.spec.delay_s):
                 return False
         if action == "drop":
-            with self._mutex:
-                self.stats.dropped += 1
-            registry.inc("netfaults.dropped")
+            self._counters.inc("dropped")
             return True
         frame = encode_frame(payload, self.max_frame_bytes)
         if action == "truncate":
-            with self._mutex:
-                self.stats.truncated += 1
-            registry.inc("netfaults.truncated")
+            self._counters.inc("truncated")
             # Half the payload after an intact header, then a hard stop
             # — the receiver must see "stream ended mid-frame".
             cut = HEADER_BYTES + max(1, len(payload) // 2)
@@ -338,13 +338,7 @@ class ChaosProxy:
                 pass
             return False
         copies = 2 if action == "duplicate" else 1
-        if action == "duplicate":
-            with self._mutex:
-                self.stats.duplicated += 1
-            registry.inc("netfaults.duplicated")
-        else:
-            with self._mutex:
-                self.stats.passed += 1
+        self._counters.inc("duplicated" if action == "duplicate" else "passed")
         try:
             dst.sendall(frame * copies)
         except OSError:

@@ -150,7 +150,7 @@ class TestServiceStatsJson:
         assert main(args) == 0
         assert "service stats written to" in capsys.readouterr().out
         doc = json.loads(target.read_text())
-        assert doc["schema"] == "repro.cloud.stats/v2"
+        assert doc["schema"] == "repro.cloud.stats/v3"
         for section in ("service", "plan_cache", "client", "artifact_store"):
             assert section in doc
         service = doc["service"]
@@ -165,7 +165,7 @@ class TestServiceStatsJson:
         args = FAST_ARGS + ["--cap", "320", "--service-stats-json", str(target)]
         assert main(args) == 0
         doc = json.loads(target.read_text())
-        assert doc["schema"] == "repro.cloud.stats/v2"
+        assert doc["schema"] == "repro.cloud.stats/v3"
         assert "artifact_store" in doc
         assert "service" not in doc  # no cloud path stood up
 

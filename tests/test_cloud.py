@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cloud import CloudPlannerService, FleetStudy, PlanRequest
+from repro.cloud import CloudPlannerService, FleetStudy, PlanRequest, ServiceStats
 from repro.core.planner import (
     PlannerConfig,
     QueueAwareDpPlanner,
@@ -90,14 +90,18 @@ class TestService:
 
     def test_stats_track_requests(self, service):
         service.clear_cache()
-        service.stats.requests = 0
-        service.stats.cache_hits = 0
-        service.stats.cache_misses = 0
+        before = service.stats
         service.request(PlanRequest("a", 100.0, 320.0))
         service.request(PlanRequest("b", 160.0, 320.0))
-        assert service.stats.requests == 2
-        assert service.stats.cache_hits == 1
-        assert service.stats.hit_rate == pytest.approx(0.5)
+        after = service.stats
+        delta = ServiceStats(
+            requests=after.requests - before.requests,
+            cache_hits=after.cache_hits - before.cache_hits,
+            cache_misses=after.cache_misses - before.cache_misses,
+        )
+        assert delta.requests == 2
+        assert delta.cache_hits == 1
+        assert delta.hit_rate == pytest.approx(0.5)
 
     def test_no_signals_disables_cache(self, plain_road, coarse_config):
         planner = UnconstrainedDpPlanner(plain_road, config=coarse_config)

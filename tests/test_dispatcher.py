@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cloud import (
     CloudPlannerService,
     FleetStudy,
@@ -394,12 +395,15 @@ class TestFleetConcurrency:
             )
             return CloudPlannerService(planner)
 
-        serial = FleetStudy(build(), us25, fleet_rate_vph=80.0, seed=5).run(
-            duration_s=900.0
-        )
-        threaded = FleetStudy(
-            build(), us25, fleet_rate_vph=80.0, seed=5, workers=4
-        ).run(duration_s=900.0)
+        def run(**kwargs):
+            with obs.use_registry(obs.MetricsRegistry()) as registry:
+                result = FleetStudy(
+                    build(), us25, fleet_rate_vph=80.0, seed=5, **kwargs
+                ).run(duration_s=900.0)
+            return result, registry.snapshot()
+
+        serial, serial_metrics = run()
+        threaded, threaded_metrics = run(workers=4)
 
         # Bit identity, not approximation: same solves, same shifts.
         assert threaded.planned_energy_mah == serial.planned_energy_mah
@@ -413,8 +417,36 @@ class TestFleetConcurrency:
         # The dispatcher actually ran and its books balance.
         assert threaded.dispatch is not None
         assert threaded.dispatch.submitted == serial.service.requests
+        assert threaded.dispatch.submitted == (
+            threaded.dispatch.completed + threaded.dispatch.errors
+        )
         assert threaded.dispatch.in_flight == 0
         assert serial.dispatch is None
+
+        # The same registry counts outside the dispatcher's own (the
+        # service's compute time is a wall-time sum, not a count).
+        def serving(metrics):
+            return {
+                name: value
+                for name, value in metrics["counters"].items()
+                if not name.startswith("cloud.dispatch.")
+                and name != "cloud.total_compute_s"
+            }
+
+        assert serving(threaded_metrics) == serving(serial_metrics)
+
+        # The same spans, once serial's nesting under ``fleet.run`` is
+        # stripped: a pool thread opens its spans on its own stack, so a
+        # dispatched solve does not nest under the caller's ``fleet.run``.
+        def span_counts(metrics, strip=""):
+            return {
+                path[len(strip):] if strip and path.startswith(strip) else path: span["count"]
+                for path, span in metrics["spans"].items()
+            }
+
+        assert span_counts(threaded_metrics) == span_counts(
+            serial_metrics, strip="fleet.run."
+        )
 
     def test_fleet_result_stats_are_snapshots(self, us25, coarse_config):
         planner = QueueAwareDpPlanner(us25, arrival_rates=RATE, config=coarse_config)

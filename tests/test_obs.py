@@ -198,6 +198,86 @@ class TestThreads:
         assert reg.histogram("h").count == n_threads * n_ops
 
 
+class TestComponentCounters:
+    """``obs.Counters``: exact per-instance counts, mirrored when enabled."""
+
+    def test_disabled_registry_counts_exactly_and_records_nothing(self):
+        reg = MetricsRegistry(enabled=False)
+        with obs.use_registry(reg):
+            counters = obs.Counters("svc", ("hits", "misses", "compute_s"))
+            counters.inc("hits")
+            counters.inc("hits", "misses")
+            counters.inc("compute_s", amount=0.25)
+        assert counters.snapshot() == {"hits": 2, "misses": 1, "compute_s": 0.25}
+        assert reg.snapshot()["counters"] == {}
+
+    def test_enabled_registry_mirrors_namespace_dot_event(self):
+        with obs.use_registry(MetricsRegistry()) as reg:
+            counters = obs.Counters("cloud.svc", ("hits", "misses", "idle"))
+            counters.inc("hits", "misses")
+            counters.inc("hits", amount=3)
+        assert counters.snapshot() == {"hits": 4, "misses": 1, "idle": 0}
+        assert reg.snapshot()["counters"] == {"cloud.svc.hits": 4, "cloud.svc.misses": 1}
+
+    def test_snapshot_is_a_copy(self):
+        counters = obs.Counters("svc", ("hits",))
+        snap = counters.snapshot()
+        counters.inc("hits")
+        assert snap == {"hits": 0}
+        assert counters.snapshot() == {"hits": 1}
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_eight_threads_never_lose_or_split_a_count(self, enabled):
+        """Exact totals, and no snapshot between two events bumped together."""
+        n_threads, n_ops = 8, 5_000
+        barrier = threading.Barrier(n_threads + 1)
+        counters = obs.Counters("svc", ("a", "b"))
+        done = threading.Event()
+        torn = []
+
+        def worker():
+            barrier.wait()
+            for _ in range(n_ops):
+                counters.inc("a", "b")
+
+        def reader():
+            barrier.wait()
+            while not done.is_set():
+                snap = counters.snapshot()
+                if snap["a"] != snap["b"]:
+                    torn.append(snap)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.use_registry(MetricsRegistry(enabled=enabled)) as reg:
+                workers = [threading.Thread(target=worker) for _ in range(n_threads)]
+                watcher = threading.Thread(target=reader)
+                for t in workers + [watcher]:
+                    t.start()
+                for t in workers:
+                    t.join(60.0)
+                done.set()
+                watcher.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers + [watcher])
+        assert torn == []
+        total = n_threads * n_ops
+        assert counters.snapshot() == {"a": total, "b": total}
+        mirrored = {"svc.a": total, "svc.b": total} if enabled else {}
+        assert reg.snapshot()["counters"] == mirrored
+
+    def test_undeclared_event_raises_key_error(self):
+        counters = obs.Counters("svc", ("hits",))
+        with pytest.raises(KeyError):
+            counters.inc("hit")
+        with obs.use_registry(MetricsRegistry()) as reg, pytest.raises(KeyError):
+            counters.inc("misses")
+        assert counters.snapshot() == {"hits": 0}
+        assert reg.snapshot()["counters"] == {}
+
+
 class TestNoOpMode:
     def test_disabled_registry_records_nothing(self):
         reg = MetricsRegistry(enabled=False)

@@ -1,8 +1,6 @@
-"""Router: deterministic sharding, drop-in identity, corridor isolation."""
+"""Router: drop-in identity, corridor isolation, per-corridor accounting."""
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ import pytest
 from repro.cloud.fleet import FleetStudy
 from repro.cloud.messages import PlanRequest
 from repro.cloud.registry import builtin_catalog
-from repro.cloud.router import PlanRouter, shard_of
+from repro.cloud.router import PlanRouter
 from repro.cloud.stats import compose_stats_document
 from repro.core.engine import ArtifactStore
 from repro.core.engine.artifacts import corridor_digest
@@ -32,20 +30,6 @@ def _req(vehicle_id, corridor_id, depart_s=30.0, **kwargs):
     return PlanRequest(
         vehicle_id=vehicle_id, depart_s=depart_s, corridor_id=corridor_id, **kwargs
     )
-
-
-class TestSharding:
-    def test_shard_mapping_is_crc32_not_randomized_hash(self, router):
-        for cid in router.catalog.ids():
-            expected = zlib.crc32(cid.encode("utf-8")) % router.shards
-            assert router.shard_of(cid) == expected
-            assert shard_of(cid, router.shards) == expected
-
-    def test_defaults_and_validation(self, catalog):
-        assert PlanRouter(catalog).shards == len(catalog)
-        assert PlanRouter(catalog, shards=2).shards == 2
-        with pytest.raises(ConfigurationError):
-            PlanRouter(catalog, shards=0)
 
 
 class TestRoutingIdentity:
@@ -96,7 +80,7 @@ class TestRoutingIdentity:
             "us25", "route-66", "airport-loop", "elm-street", "us25",
         ]
 
-    def test_per_shard_invariant_holds(self, router):
+    def test_per_corridor_invariant_holds(self, router):
         departures = [10.0, 10.0, 40.0, 10.0]
         for cid in router.catalog.ids():
             for i, depart in enumerate(departures):
@@ -110,9 +94,7 @@ class TestRoutingIdentity:
                 == stats.cache_hits + stats.cache_misses + stats.errors
             )
             total_routed += stats.requests
-        router_stats = router.router_stats()
-        assert router_stats.routed == total_routed
-        assert sum(router_stats.per_shard) == total_routed
+        assert router.router_stats().routed == total_routed
 
 
 class TestCorridorIsolation:
@@ -245,7 +227,6 @@ class TestAggregates:
             router.request(_req(f"a-{cid}", cid, depart_s=30.0))
         document = compose_stats_document(service=router)
         assert document["router"]["routed"] == 3
-        assert document["router"]["shards"] == router.shards
         assert set(document["corridors"]) == set(router.catalog.ids())
         for section in document["corridors"].values():
             service = section["service"]

@@ -158,14 +158,14 @@ class TestServing:
         """Two counters bumped in one loop callback are read together."""
         service = StubPlannerService()
         with serve_in_background(service) as handle:
-            stats = handle.server.stats
+            counters = handle.server._counters
             halfway, release = threading.Event(), threading.Event()
 
             def bump_two_counters():
-                stats.frames += 1
+                counters.inc("frames")
                 halfway.set()
                 assert release.wait(10.0)
-                stats.plan_requests += 1
+                counters.inc("plan_requests")
 
             handle._loop.call_soon_threadsafe(bump_two_counters)
             assert halfway.wait(10.0)
@@ -211,7 +211,7 @@ class TestServing:
             assert not health.draining
             assert health.capacity == 7
             document = transport.server_stats()
-            assert document["schema"] == "repro.cloud.stats/v2"
+            assert document["schema"] == "repro.cloud.stats/v3"
             assert document["server"]["health_requests"] == 1
             assert document["server"]["max_pending"] == 7
             transport.close()
